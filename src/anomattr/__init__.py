@@ -15,20 +15,21 @@ from .attribution import (
     attribute,
     enumerate_subsets,
     pre_event_scores,
-    subset_cap,
     univariate_baseline,
 )
 from .counterfactual import (
     ReplacementWindow,
     StationaryCovariance,
+    WindowModel,
     apply_replacement,
     assemble_joint,
     conditional_replacement,
     estimate_stationary,
     sample_replacement,
+    subset_cap,
     window_observation,
 )
-from .detector import Detection, ScanConfig, detect, score_interval
+from .detector import Detection, LocalRescorer, ScanConfig, detect, score_interval
 from .errors import (
     AnomattrError,
     ConfigError,
@@ -66,6 +67,7 @@ __all__ = [
     "GaussianModel",
     "Injection",
     "Interval",
+    "LocalRescorer",
     "MultivariateSeries",
     "NumericalError",
     "ParseError",
@@ -76,6 +78,7 @@ __all__ = [
     "SubsetScore",
     "SynthSpec",
     "VariableSubset",
+    "WindowModel",
     "ZScoreParams",
     "apply_replacement",
     "assemble_joint",

@@ -2,44 +2,29 @@
 
 For every candidate variable subset the anomalous interval is rewritten with
 in-distribution replacements and re-scored; subsets whose replacement lowers
-the score the most are the attribution. A per-variable histogram divergence
-is included as the univariate baseline for comparison.
+the score the most are the attribution. Each window gets one nominal model
+(:class:`~anomattr.counterfactual.WindowModel`), inverted once and shared by
+every subset: it conditions each subset in precision form, and a
+:class:`~anomattr.detector.LocalRescorer` re-scores each draw by refitting
+only the embedded rows the replacement touches. A per-variable histogram
+divergence is included as the univariate baseline for comparison.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .counterfactual import (
-    ReplacementWindow,
-    apply_replacement,
-    assemble_joint,
-    conditional_replacement,
-    estimate_stationary,
-    window_observation,
-)
-from .detector import Detection, interval_models, interval_row_masks, score_interval
+from .counterfactual import WindowModel, subset_cap
+from .detector import Detection, LocalRescorer, score_interval
 from .errors import ConfigError, EstimationError, NumericalError, ScoringError
-from .gaussian import estimate, kl_divergence, regularize_covariance, unbiased_kl
-from .series import EmbeddingConfig, Interval, MultivariateSeries, embed
+from .series import EmbeddingConfig, Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
-
-
-def subset_cap(d: int, max_subset_size: int | None = None) -> int:
-    """Largest subset size considered: ceil(d/2), optionally tightened."""
-    cap = math.ceil(d / 2)
-    if max_subset_size is not None:
-        if max_subset_size < 1:
-            raise ConfigError(f"max_subset_size must be >= 1, got {max_subset_size}")
-        cap = min(cap, max_subset_size)
-    return cap
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,6 @@ class AttributionConfig:
     seed: int = 0
     max_subset_size: int | None = None
     baseline_bins: int = 30
-    refit_background: bool = True
     threads: int = 1
     max_variables: int = 20
     allow_many_variables: bool = False
@@ -160,42 +144,24 @@ class AttributionReport:
         }
 
 
-def _frozen_background_scorer(series, interval, emb_cfg):
-    """Score against the pre-replacement outside model (refit_background=False)."""
-    _, p_out = interval_models(series, interval, emb_cfg)
-
-    def rescore(modified: MultivariateSeries) -> float:
-        emb = embed(modified, emb_cfg)
-        inside, _ = interval_row_masks(emb, interval)
-        p_in = estimate(emb.values[inside])
-        return unbiased_kl(kl_divergence(p_in, p_out), interval)
-
-    return rescore
-
-
-def _score_subset(series, interval, emb_cfg, joint, obs_vals, obs_present, subset, si, cfg, rescore):
-    window = ReplacementWindow(
-        interval=interval,
-        kappa=emb_cfg.kappa,
-        subset=subset.indices,
-        n_times=series.n,
-        n_vars=series.d,
+def _score_subset(
+    model: WindowModel,
+    rescorer: LocalRescorer,
+    subset: VariableSubset,
+    si: int,
+    cfg: AttributionConfig,
+) -> SubsetScore:
+    draw = model.sampler(subset.indices)
+    scores = np.array(
+        [
+            rescorer.score(subset.indices, draw(np.random.SeedSequence([cfg.seed, si, r])))
+            for r in range(cfg.realizations)
+        ]
     )
-    cond = conditional_replacement(joint, window, obs_vals, obs_present)
-    cov, _, _ = regularize_covariance(cond.cov)
-    chol = np.linalg.cholesky(cov)
-    scores = []
-    for r in range(cfg.realizations):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, si, r]))
-        draw = cond.mean + chol @ rng.standard_normal(cond.dim)
-        sample = draw.reshape(interval.length, subset.size)
-        modified = apply_replacement(series, window, sample)
-        scores.append(rescore(modified))
-    arr = np.array(scores)
     return SubsetScore(
         subset=subset,
-        mean_score=float(arr.mean()),
-        std_score=float(arr.std()),
+        mean_score=float(scores.mean()),
+        std_score=float(scores.std()),
         realizations=cfg.realizations,
     )
 
@@ -228,31 +194,8 @@ def _attribute_window(
     interval.validate_within(series.n)
     emb_cfg = cfg.embedding
     original = score_interval(series, interval, emb_cfg)
-
-    window_len = interval.length + 2 * (emb_cfg.kappa - 1)
-    lag_budget = min(window_len - 1, series.n - interval.length - 1)
-    if lag_budget < window_len - 1:
-        log.warning(
-            "series too short for all %d lags; estimating %d and zero-filling the rest",
-            window_len - 1,
-            lag_budget,
-        )
-    stat, nominal_mean = estimate_stationary(series, interval, lag_budget, truncate=True)
-    joint = assemble_joint(stat, nominal_mean, window_len)
-
-    probe = ReplacementWindow(
-        interval=interval,
-        kappa=emb_cfg.kappa,
-        subset=(0,),
-        n_times=series.n,
-        n_vars=series.d,
-    )
-    obs_vals, obs_present = window_observation(series, probe)
-
-    if cfg.refit_background:
-        rescore = lambda modified: score_interval(modified, interval, emb_cfg)
-    else:
-        rescore = _frozen_background_scorer(series, interval, emb_cfg)
+    model = WindowModel.fit(series, interval, emb_cfg.kappa)
+    rescorer = LocalRescorer(series, interval, emb_cfg)
 
     cap = subset_cap(series.d, cfg.max_subset_size)
     subsets = enumerate_subsets(series.d, cap)
@@ -260,9 +203,7 @@ def _attribute_window(
     def run(item):
         si, subset = item
         try:
-            return _score_subset(
-                series, interval, emb_cfg, joint, obs_vals, obs_present, subset, si, cfg, rescore
-            )
+            return _score_subset(model, rescorer, subset, si, cfg)
         except (EstimationError, NumericalError, ScoringError, np.linalg.LinAlgError) as exc:
             log.warning("subset %s failed: %s", subset.indices, exc)
             return SubsetScore(

@@ -19,14 +19,7 @@ from .attribution import (
     pre_event_scores,
 )
 from .config import RunConfig, build_run_config, load_synth_spec
-from .counterfactual import (
-    ReplacementWindow,
-    apply_replacement,
-    assemble_joint,
-    estimate_stationary,
-    sample_replacement,
-    window_observation,
-)
+from .counterfactual import WindowModel, apply_replacement
 from .detector import Detection, ScanConfig, detect, score_interval
 from .errors import AnomattrError, ConfigError
 from .series import (
@@ -182,29 +175,18 @@ def _write_replacement_preview(
     report: AttributionReport,
     cfg: RunConfig,
 ) -> None:
-    """One realization of the counterfactual series for the best subset."""
+    """Realization 0 of the best subset, redrawn from the window's nominal model.
+
+    The model is refitted with ``WindowModel.fit`` as in the attribution,
+    and the draw uses the attribution's seed [seed, subset position, 0], so
+    the preview is exactly the first realization that was scored.
+    """
     best = report.best()
-    subset_pos = [i for i, s in enumerate(report.subsets) if s.subset == best.subset][0]
-    interval = report.interval
-    window_len = interval.length + 2 * (cfg.kappa - 1)
-    lag_budget = min(window_len - 1, series.n - interval.length - 1)
-    stat, mean = estimate_stationary(series, interval, lag_budget, truncate=True)
-    joint = assemble_joint(stat, mean, window_len)
-    window = ReplacementWindow(
-        interval=interval,
-        kappa=cfg.kappa,
-        subset=best.subset.indices,
-        n_times=series.n,
-        n_vars=series.d,
-    )
-    obs_vals, obs_present = window_observation(series, window)
-    sample = sample_replacement(
-        joint,
-        window,
-        obs_vals,
-        obs_present,
-        np.random.SeedSequence([cfg.seed, subset_pos, 0]),
-    )
+    subset_pos = report.subsets.index(best)
+    model = WindowModel.fit(series, report.interval, report.kappa)
+    draw = model.sampler(best.subset.indices)
+    sample = draw(np.random.SeedSequence([cfg.seed, subset_pos, 0]))
+    window = model.window(best.subset.indices)
     modified = apply_replacement(series, window, sample)
     if zparams is not None:
         modified = inverse_zscore(modified, zparams)

@@ -8,13 +8,17 @@ interval masked out, so the anomaly cannot contaminate the nominal model).
 New values for the replaced variables are then drawn from the Gaussian
 conditional on everything that is kept: the untouched variables inside the
 interval and the full context columns on both sides.
+
+There is one model per window (:class:`WindowModel`): the joint is inverted
+once into its precision, and every subset is conditioned in precision form
+through the precision block of its hidden cells.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,14 +114,25 @@ def estimate_stationary(
     return StationaryCovariance(np.array(blocks)), mean
 
 
+def _above_jitter(cov: np.ndarray, eps: float) -> bool:
+    """Whether every eigenvalue of ``cov`` exceeds ``eps``: a Cholesky of cov - eps*I succeeds."""
+    shifted = cov.copy()
+    shifted.flat[:: cov.shape[0] + 1] -= eps
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def assemble_joint(stat: StationaryCovariance, mean: np.ndarray, length: int) -> GaussianModel:
     """Expand lag blocks into the joint Gaussian over ``length`` consecutive steps.
 
     The mean is the nominal per-variable mean tiled once per step. Blocks
     beyond the last estimated lag are taken as zero (logged). A finite-sample
-    block-Toeplitz assembly need not be PSD; if its smallest eigenvalue falls
-    below the jitter level, eigenvalues are clipped there and the repair
-    magnitude is logged.
+    block-Toeplitz assembly need not be PSD: when a Cholesky factorization of
+    ``cov - eps*I`` fails (smallest eigenvalue at or below the jitter level
+    eps), eigenvalues are clipped at eps and the repair magnitude is logged.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     d = stat.d
@@ -131,21 +146,19 @@ def assemble_joint(stat: StationaryCovariance, mean: np.ndarray, length: int) ->
             length,
             stat.max_lag,
         )
-    zero = np.zeros((d, d))
-    cov = np.zeros((d * length, d * length))
-    for i in range(length):
-        for j in range(i + 1):
-            k = i - j
-            block = stat.blocks[k] if k <= stat.max_lag else zero
-            cov[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-            if i != j:
-                cov[j * d : (j + 1) * d, i * d : (i + 1) * d] = block.T
+    dim = d * length
+    cov = np.zeros((length, d, length, d))  # cov[i, :, j, :] is block (i, j)
+    for k in range(min(length, stat.max_lag + 1)):
+        steps = np.arange(k, length)
+        cov[steps, :, steps - k, :] = stat.blocks[k]
+        if k:
+            cov[steps - k, :, steps, :] = stat.blocks[k].T
+    cov = cov.reshape(dim, dim)
 
     eps = jitter_epsilon(cov)
-    w = np.linalg.eigvalsh(cov)
-    if w.min() < eps:
-        wfull, v = np.linalg.eigh(cov)
-        repaired = (v * np.maximum(wfull, eps)) @ v.T
+    if not _above_jitter(cov, eps):
+        w, v = np.linalg.eigh(cov)
+        repaired = (v * np.maximum(w, eps)) @ v.T
         cov = 0.5 * (repaired + repaired.T)
         log.warning(
             "block-Toeplitz joint repaired: eigenvalues clipped at %.3g (min was %.3g)",
@@ -155,8 +168,14 @@ def assemble_joint(stat: StationaryCovariance, mean: np.ndarray, length: int) ->
     return GaussianModel(mean=np.tile(mean, length), cov=cov)
 
 
-def _ceil_half(d: int) -> int:
-    return math.ceil(d / 2)
+def subset_cap(d: int, max_subset_size: int | None = None) -> int:
+    """Largest subset size considered: ceil(d/2), optionally tightened."""
+    cap = math.ceil(d / 2)
+    if max_subset_size is not None:
+        if max_subset_size < 1:
+            raise ConfigError(f"max_subset_size must be >= 1, got {max_subset_size}")
+        cap = min(cap, max_subset_size)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -185,7 +204,7 @@ class ReplacementWindow:
             raise ConfigError(f"replacement subset has duplicates: {subset}")
         if subset[0] < 0 or subset[-1] >= self.n_vars:
             raise ConfigError(f"subset {subset} out of range for {self.n_vars} variables")
-        cap = _ceil_half(self.n_vars)
+        cap = subset_cap(self.n_vars)
         if len(subset) > cap:
             raise ConfigError(
                 f"subset size {len(subset)} exceeds the cap of {cap} for {self.n_vars} variables"
@@ -232,6 +251,135 @@ def window_observation(
     return values, present
 
 
+def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is not positive definite") from None
+
+
+def _inverse_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive 2x2 blocking.
+
+    ``np.linalg.inv`` does not use the triangle and runs a full LU solve;
+    inverting [[A, 0], [C, D]] as inv(A), inv(D) and -inv(D) C inv(A) takes
+    about 40% of its time on the 100-150 wide factors of large subsets.
+    """
+    n = lower.shape[0]
+    if n <= 32:
+        return np.linalg.inv(lower)
+    k = n // 2
+    head = _inverse_lower(lower[:k, :k])
+    tail = _inverse_lower(lower[k:, k:])
+    out = np.zeros_like(lower)
+    out[:k, :k] = head
+    out[k:, k:] = tail
+    out[k:, :k] = -tail @ (lower[k:, :k] @ head)
+    return out
+
+
+class WindowModel:
+    """The nominal Gaussian of one replacement window, inverted once.
+
+    The precision Lambda = Sigma^-1 of the joint over the window is formed
+    once, and the evidence residual r = x - mu (zero on absent cells) is
+    pulled through it once. Replacing a subset hides the cells
+    H = Q + A: the replaced coordinates Q and the absent (missing or
+    out-of-series) window cells A. The law of H given every other cell is
+
+        cov_H  = Lambda_HH^-1
+        mean_H = mu_H - Lambda_HH^-1 (Lambda r_H0)_H,
+
+    where r_H0 is r with the entries of H zeroed; its Q block is the
+    replacement law. Each subset thus costs one factorization of
+    Lambda_HH (size |H|) instead of one of the evidence block. The model is
+    read-only after construction and may be shared between threads.
+    """
+
+    def __init__(
+        self,
+        joint: GaussianModel,
+        window: ReplacementWindow,
+        observed_values: np.ndarray,
+        observed_present: np.ndarray,
+    ):
+        """``window`` fixes the geometry (interval, context, series size); its
+        subset plays no part."""
+        self.geometry = window
+        dim = window.length * window.n_vars
+        if joint.dim != dim:
+            raise ValueError(f"joint has dimension {joint.dim}, window needs {dim}")
+        # assemble_joint's Cholesky check keeps the joint's eigenvalues above
+        # the jitter level, so the inverse exists. A direct inverse,
+        # symmetrized in place, holds fewer window-sized buffers at once than
+        # a Cholesky followed by the inverse of its factor.
+        precision = np.linalg.inv(joint.cov)
+        precision += precision.T  # numpy buffers the overlapping operand
+        precision *= 0.5
+        self.mean = joint.mean
+        self.precision = precision
+        present = observed_present.ravel()
+        self.residual = np.where(present, observed_values.ravel() - self.mean, 0.0)
+        self.pulled = self.precision @ self.residual
+        self.absent = np.flatnonzero(~present)
+
+    @classmethod
+    def fit(cls, series: MultivariateSeries, interval: Interval, kappa: int) -> "WindowModel":
+        """Estimate the nominal model of the window around ``interval``.
+
+        Lag blocks are estimated with the interval masked out; when the
+        series is too short for every lag of the window, the missing lags
+        are zero-filled (logged).
+        """
+        probe = ReplacementWindow(
+            interval=interval, kappa=kappa, subset=(0,), n_times=series.n, n_vars=series.d
+        )
+        lag_budget = min(probe.length - 1, series.n - interval.length - 1)
+        if lag_budget < probe.length - 1:
+            log.warning(
+                "series too short for all %d lags; estimating %d and zero-filling the rest",
+                probe.length - 1,
+                lag_budget,
+            )
+        stat, nominal_mean = estimate_stationary(series, interval, lag_budget, truncate=True)
+        joint = assemble_joint(stat, nominal_mean, probe.length)
+        return cls(joint, probe, *window_observation(series, probe))
+
+    def window(self, subset) -> ReplacementWindow:
+        """The replacement window of ``subset`` (validated against the cap)."""
+        return replace(self.geometry, subset=tuple(subset))
+
+    def conditional(self, subset) -> GaussianModel:
+        """Gaussian law of the replaced block of ``subset`` given everything kept."""
+        q_idx = np.flatnonzero(self.window(subset).query_mask())
+        hidden = np.concatenate([q_idx, np.setdiff1d(self.absent, q_idx, assume_unique=True)])
+        lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q first, so Lambda_HQ = lam_hh[:, :q]
+        pulled = self.pulled[hidden] - lam_hh[:, : q_idx.size] @ self.residual[q_idx]
+        inv_chol = _inverse_lower(_cholesky(lam_hh, "hidden-cell precision"))
+        head = inv_chol[:, : q_idx.size]  # Lambda_HH^-1 = inv_chol' inv_chol, Q columns
+        cov = head.T @ head
+        mean = self.mean[q_idx] - head.T @ (inv_chol @ pulled)
+        return GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+
+    def sampler(self, subset):
+        """Seeded draws of the replaced block of ``subset``, shaped (|interval|, |subset|).
+
+        The returned function maps anything accepted by
+        ``numpy.random.default_rng`` to one draw; identical seeds reproduce
+        the draw exactly.
+        """
+        cond = self.conditional(subset)
+        cov, _, _ = regularize_covariance(cond.cov)
+        chol = np.linalg.cholesky(cov)
+        shape = (self.geometry.interval.length, len(subset))
+
+        def draw(seed) -> np.ndarray:
+            rng = np.random.default_rng(seed)
+            return (cond.mean + chol @ rng.standard_normal(cond.dim)).reshape(shape)
+
+        return draw
+
+
 def conditional_replacement(
     joint: GaussianModel,
     window: ReplacementWindow,
@@ -240,47 +388,11 @@ def conditional_replacement(
 ) -> GaussianModel:
     """Gaussian law of the replaced coordinates given everything that is kept.
 
-    Evidence is every present, non-replaced coordinate of the window; the
-    conditional moments come from the Schur complement
-
-        mu_{Q|E} = mu_Q + S_QE S_EE^-1 (e - mu_E)
-        S_{Q|E}  = S_QQ - S_QE S_EE^-1 S_EQ
-
-    solved through a Cholesky factorization of S_EE.
+    Evidence is every present, non-replaced coordinate of the window; see
+    :class:`WindowModel` for the precision-form conditioning.
     """
-    dim = window.length * window.n_vars
-    if joint.dim != dim:
-        raise ValueError(f"joint has dimension {joint.dim}, window needs {dim}")
-    q_mask = window.query_mask()
-    e_mask = observed_present.ravel() & ~q_mask
-    q_idx = np.flatnonzero(q_mask)
-    e_idx = np.flatnonzero(e_mask)
-    if q_idx.size == 0:
-        raise ConfigError("window replaces no coordinates")
-
-    mu_q = joint.mean[q_idx]
-    s_qq = joint.cov[np.ix_(q_idx, q_idx)]
-    if e_idx.size == 0:
-        cov = 0.5 * (s_qq + s_qq.T)
-        return GaussianModel(mean=mu_q, cov=cov)
-
-    mu_e = joint.mean[e_idx]
-    s_ee = joint.cov[np.ix_(e_idx, e_idx)]
-    s_eq = joint.cov[np.ix_(e_idx, q_idx)]
-    try:
-        l_e = np.linalg.cholesky(s_ee)
-    except np.linalg.LinAlgError:
-        try:
-            l_e = np.linalg.cholesky(s_ee + jitter_epsilon(s_ee) * np.eye(e_idx.size))
-        except np.linalg.LinAlgError:
-            raise NumericalError("evidence covariance not factorizable after jitter") from None
-
-    half = np.linalg.solve(l_e, s_eq)
-    resid = np.linalg.solve(l_e, observed_values.ravel()[e_idx] - mu_e)
-    mean = mu_q + half.T @ resid
-    cov = s_qq - half.T @ half
-    cov = 0.5 * (cov + cov.T)
-    return GaussianModel(mean=mean, cov=cov)
+    model = WindowModel(joint, window, observed_values, observed_present)
+    return model.conditional(window.subset)
 
 
 def sample_replacement(
@@ -295,11 +407,8 @@ def sample_replacement(
     ``seed`` is anything accepted by ``numpy.random.default_rng``; identical
     seeds reproduce the draw exactly.
     """
-    cond = conditional_replacement(joint, window, observed_values, observed_present)
-    rng = np.random.default_rng(seed)
-    cov, _, _ = regularize_covariance(cond.cov)
-    draw = cond.mean + np.linalg.cholesky(cov) @ rng.standard_normal(cond.dim)
-    return draw.reshape(window.interval.length, len(window.subset))
+    model = WindowModel(joint, window, observed_values, observed_present)
+    return model.sampler(window.subset)(seed)
 
 
 def apply_replacement(

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import gaussian
 from .errors import ConfigError, ScoringError
-from .gaussian import GaussianModel, estimate, kl_divergence, unbiased_kl
-from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, embed
+from .gaussian import GaussianModel, estimate, kl_divergence, regularize_covariance, unbiased_kl
+from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, delay_rows, embed
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,33 @@ class ScanConfig:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
 
+def _check_row_counts(interval: Interval, n_in: int, n_out: int, width: int) -> None:
+    """Raise ScoringError unless both sides of an interval can be fitted.
+
+    The inside needs at least as many usable rows as the embedding width:
+    with fewer, its covariance misses two or more dimensions and only the
+    jitter keeps it factorizable, so the score measures the jitter. At
+    exactly the width one dimension is still missing; such an interval is
+    still scored when asked for by name, but the scan never ranks it (see
+    :meth:`PrefixScanner.score_batch`).
+    """
+    if n_out == 0:
+        raise ScoringError(f"empty complement for interval [{interval.a}, {interval.b})")
+    if n_in < 2:
+        raise ScoringError(
+            f"interval [{interval.a}, {interval.b}) has {n_in} usable embedded rows, need >= 2"
+        )
+    if n_in < width:
+        raise ScoringError(
+            f"interval [{interval.a}, {interval.b}) has {n_in} usable embedded rows, "
+            f"fewer than the width {width}"
+        )
+    if n_out < 2:
+        raise ScoringError(
+            f"complement of [{interval.a}, {interval.b}) has {n_out} usable embedded rows, need >= 2"
+        )
+
+
 def interval_row_masks(emb: Embedding, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
     """Split usable embedded rows into inside/outside masks for an interval.
 
@@ -63,17 +90,7 @@ def interval_row_masks(emb: Embedding, interval: Interval) -> tuple[np.ndarray, 
     anchored = (emb.times >= interval.a) & (emb.times < interval.b)
     inside = anchored & ~emb.missing
     outside = ~anchored & ~emb.missing
-    n_in, n_out = int(inside.sum()), int(outside.sum())
-    if n_out == 0:
-        raise ScoringError(f"empty complement for interval [{interval.a}, {interval.b})")
-    if n_in < 2:
-        raise ScoringError(
-            f"interval [{interval.a}, {interval.b}) has {n_in} usable embedded rows, need >= 2"
-        )
-    if n_out < 2:
-        raise ScoringError(
-            f"complement of [{interval.a}, {interval.b}) has {n_out} usable embedded rows, need >= 2"
-        )
+    _check_row_counts(interval, int(inside.sum()), int(outside.sum()), emb.width)
     return inside, outside
 
 
@@ -91,6 +108,68 @@ def score_interval(series: MultivariateSeries, interval: Interval, cfg: Embeddin
     """Length-weighted divergence of one interval against the rest of the series."""
     p_in, p_out = interval_models(series, interval, cfg)
     return unbiased_kl(kl_divergence(p_in, p_out), interval)
+
+
+class LocalRescorer:
+    """Re-scores one interval after cells inside it change, touching only what changes.
+
+    A change confined to [a, b) alters only the embedded rows anchored in
+    [a, b + history). The count, mean and centered second moment (M2) of the
+    other usable outside rows are computed once. Each re-score re-embeds the
+    changed rows, fits the inside ones with :func:`estimate`, and merges the
+    changed outside ones into the fixed moments with the pairwise update of
+    Chan et al.; raw moments E[xx'] - mu mu' would lose precision when the
+    data sit far from zero. The result equals :func:`score_interval` on the
+    modified series up to round-off, with the same ScoringError checks.
+    Read-only after construction; safe to share between threads.
+    """
+
+    def __init__(self, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig):
+        interval.validate_within(series.n)
+        emb = embed(series, cfg)
+        self.interval = interval
+        self.cfg = cfg
+        self.width = emb.width
+        history = cfg.history
+        lo = max(interval.a, history)  # first anchor whose row can change
+        hi = min(interval.b + history, series.n)
+        self.n_inside = max(0, interval.b - lo)  # changed rows anchored inside
+        fixed = ((emb.times < lo) | (emb.times >= hi)) & ~emb.missing
+        rows = emb.values[fixed]
+        self.fixed_count = rows.shape[0]
+        self.fixed_mean = rows.mean(axis=0) if self.fixed_count else np.zeros(self.width)
+        centered = rows - self.fixed_mean
+        self.fixed_m2 = centered.T @ centered
+        self.block_start = lo - history
+        self.block_values = series.values[self.block_start : hi]
+        self.block_missing = series.missing[self.block_start : hi]
+
+    def score(self, columns, block: np.ndarray) -> float:
+        """Score of the interval with ``block`` written into ``columns`` over [a, b)."""
+        values = self.block_values.copy()
+        missing = self.block_missing.copy()
+        rows = slice(self.interval.a - self.block_start, self.interval.b - self.block_start)
+        cols = np.asarray(columns)
+        values[rows, cols] = block
+        missing[rows, cols] = False
+        emb_values, emb_missing = delay_rows(values, missing, self.cfg)
+        usable = ~emb_missing
+        inside = emb_values[: self.n_inside][usable[: self.n_inside]]
+        changed = emb_values[self.n_inside :][usable[self.n_inside :]]
+        n_out = self.fixed_count + changed.shape[0]
+        _check_row_counts(self.interval, inside.shape[0], n_out, self.width)
+
+        mean, m2 = self.fixed_mean, self.fixed_m2
+        if changed.shape[0]:
+            changed_mean = changed.mean(axis=0)
+            centered = changed - changed_mean
+            delta = changed_mean - mean
+            weight = self.fixed_count * changed.shape[0] / n_out
+            mean = mean + delta * (changed.shape[0] / n_out)
+            m2 = m2 + centered.T @ centered + weight * np.outer(delta, delta)
+        cov, _, _ = regularize_covariance(m2 / n_out)
+        p_out = GaussianModel(mean=mean, cov=cov, count=n_out)
+        return unbiased_kl(kl_divergence(estimate(inside), p_out), self.interval)
 
 
 class PrefixScanner:
@@ -124,11 +203,18 @@ class PrefixScanner:
         return lo, np.maximum(hi, lo)
 
     def score_batch(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Length-weighted scores for all intervals [s, s+length); NaN if unscorable."""
+        """Length-weighted scores for all intervals [s, s+length); NaN if unscorable.
+
+        Unscorable: at most ``width`` usable rows inside, or fewer than 2 outside.
+        """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
         cnt_out = self.total_count - cnt_in
-        ok = (cnt_in >= 2) & (cnt_out >= 2)
+        # More inside rows than the width (which implies at least 2): with
+        # no more, the inside covariance is singular and only the jitter
+        # would rank the candidate. interval_row_masks refuses fewer than
+        # the width, so the two agree on every candidate scored here.
+        ok = (cnt_in > self.width) & (cnt_out >= 2)
         out = np.full(starts.shape, np.nan)
         if not ok.any():
             return out

@@ -145,25 +145,34 @@ class Embedding:
         return self.values.shape[1]
 
 
+def delay_rows(
+    values: np.ndarray, missing: np.ndarray, cfg: EmbeddingConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delay-embedded rows of an (m, d) block and their missing flags.
+
+    Row ``i`` is anchored at block time ``i + history``; see :class:`Embedding`.
+    """
+    m = values.shape[0]
+    lead = cfg.history
+    parts = []
+    miss_parts = []
+    for k in range(cfg.kappa):
+        off = k * cfg.tau
+        parts.append(values[lead - off : m - off])
+        miss_parts.append(missing[lead - off : m - off])
+    return np.hstack(parts), np.hstack(miss_parts).any(axis=1)
+
+
 def embed(series: MultivariateSeries, cfg: EmbeddingConfig) -> Embedding:
     """Build the time-delay embedded matrix (n - (kappa-1)*tau rows, kappa*d cols)."""
-    n, d = series.n, series.d
+    n = series.n
     lead = cfg.history
     if lead >= n:
         raise ConfigError(
             f"embedding needs (kappa-1)*tau < n, got kappa={cfg.kappa} tau={cfg.tau} n={n}"
         )
-    m = n - lead
-    parts = []
-    miss_parts = []
-    for k in range(cfg.kappa):
-        off = k * cfg.tau
-        parts.append(series.values[lead - off : n - off])
-        miss_parts.append(series.missing[lead - off : n - off])
-    values = np.hstack(parts)
-    missing = np.hstack(miss_parts).any(axis=1)
-    times = np.arange(lead, n)
-    return Embedding(values=values, times=times, missing=missing)
+    values, missing = delay_rows(series.values, series.missing, cfg)
+    return Embedding(values=values, times=np.arange(lead, n), missing=missing)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def test_criterion_2_toeplitz_correctness():
 
 
 def test_criterion_3_conditional_sampler():
-    """Schur conditioning vs a precision-matrix oracle (1e-8) on 20 random
+    """Window-model conditioning vs a precision-matrix oracle (1e-8) on 20 random
     small instances, plus empirical moments from 5e4 draws within 4 SE."""
     start = time.perf_counter()
     rng = np.random.default_rng(303)

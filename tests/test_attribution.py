@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import anomattr.attribution as attribution_mod
 from anomattr import (
     AttributionConfig,
     Detection,
@@ -11,6 +10,7 @@ from anomattr import (
     Interval,
     SynthSpec,
     VariableSubset,
+    WindowModel,
     attribute,
     enumerate_subsets,
     generate,
@@ -102,6 +102,20 @@ class TestAttribute:
         )
         assert r1 == r2
 
+    def test_two_threads_share_one_window_model(self):
+        """The pool's workers share the window model and the local re-scorer
+        read-only: two threads give a report equal to one thread's, also
+        with missing cells and a window whose context reaches the start."""
+        series = injected_series(seed=6, iv=Interval(1, 40))
+        values = series.values.copy()
+        values[np.random.default_rng(6).random(values.shape) < 0.02] = np.nan
+        series = make_series(values, names=series.names)
+        det = detection_for(Interval(1, 40))
+        r1 = attribute(series, det, AttributionConfig(realizations=2, seed=4, threads=1))
+        r2 = attribute(series, det, AttributionConfig(realizations=2, seed=4, threads=2))
+        assert r1 == r2
+        assert all(s.error is None for s in r1.subsets)
+
     def test_ranks_are_ascending_in_mean_score(self):
         series = injected_series(seed=2)
         iv = Interval(600, 660)
@@ -114,14 +128,14 @@ class TestAttribute:
     def test_failed_subsets_are_contained(self, monkeypatch):
         series = injected_series(seed=2)
         iv = Interval(600, 660)
-        real = attribution_mod.conditional_replacement
+        real = WindowModel.conditional
 
-        def flaky(joint, window, values, present):
-            if window.subset == (1,):
+        def flaky(model, subset):
+            if tuple(subset) == (1,):
                 raise EstimationError("synthetic failure")
-            return real(joint, window, values, present)
+            return real(model, subset)
 
-        monkeypatch.setattr(attribution_mod, "conditional_replacement", flaky)
+        monkeypatch.setattr(WindowModel, "conditional", flaky)
         report = attribute(series, detection_for(iv), AttributionConfig(realizations=2, seed=1))
         failed = [s for s in report.subsets if s.subset.indices == (1,)][0]
         assert failed.mean_score is None

@@ -1,9 +1,22 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from anomattr import load_csv
+from anomattr import (
+    AttributionConfig,
+    Detection,
+    EmbeddingConfig,
+    Interval,
+    WindowModel,
+    apply_replacement,
+    attribute,
+    inverse_zscore,
+    load_csv,
+    score_interval,
+    zscore,
+)
 from anomattr.cli import main
 
 SIM_SPEC = """\
@@ -191,6 +204,37 @@ class TestAttribute:
         assert code == 0
         report = json.loads((out / "attribution_1.json").read_text())
         assert report["interval"] == {"a": 500, "b": 550}
+
+    def test_preview_is_realization_zero_of_the_best_subset(self, sim_dir, tmp_path):
+        """The preview redraws realization 0 of the best subset from the window
+        model with seed [seed, subset position, 0]: with one realization, its
+        series re-scores to exactly the subset's reported mean score."""
+        out = tmp_path / "out"
+        code = main(
+            ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(out),
+             "--interval", "500:550", "--realizations", "1", "--seed", "5"]
+        )
+        assert code == 0
+        series, zparams = zscore(load_csv(sim_dir / "series.csv"))
+        iv = Interval(500, 550)
+        report = attribute(series, Detection(iv, 0.0, 1), AttributionConfig(realizations=1, seed=5))
+        best = report.best()
+        pos = report.subsets.index(best)
+        model = WindowModel.fit(series, iv, kappa=3)
+        sample = model.sampler(best.subset.indices)(np.random.SeedSequence([5, pos, 0]))
+        modified = apply_replacement(series, model.window(best.subset.indices), sample)
+        assert score_interval(modified, iv, EmbeddingConfig()) == pytest.approx(
+            best.mean_score, rel=1e-9
+        )
+
+        expected = inverse_zscore(modified, zparams)
+        with open(out / "replacement_preview.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == series.n
+        for j in best.subset.indices:
+            column = f"{series.names[j]}_counterfactual"
+            got = np.array([float(row[column]) for row in rows])
+            assert np.array_equal(got, expected.values[:, j])
 
     def test_malformed_interval_exits_2(self, sim_dir, tmp_path):
         code = main(

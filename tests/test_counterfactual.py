@@ -8,6 +8,7 @@ from anomattr import (
     Interval,
     ReplacementWindow,
     StationaryCovariance,
+    WindowModel,
     apply_replacement,
     assemble_joint,
     conditional_replacement,
@@ -184,7 +185,7 @@ class TestReplacementWindow:
 
 class TestConditional:
     def test_schur_matches_precision_oracle(self, rng):
-        """Schur-complement conditioning vs direct precision-matrix conditioning."""
+        """Window-model conditioning vs direct precision-matrix conditioning."""
         for _ in range(20):
             d = int(rng.integers(1, 4))
             ell_core = int(rng.integers(1, 5))
@@ -209,6 +210,61 @@ class TestConditional:
             )
             np.testing.assert_allclose(cond.mean, want_mean, rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(cond.cov, want_cov, rtol=1e-8, atol=1e-8)
+
+    def test_precision_form_with_absent_cells_matches_oracle(self, rng):
+        """Windows with missing cells and context running off either end of the
+        series: the conditional equals the precision-matrix oracle applied to
+        the marginal over the replaced and the evidence coordinates."""
+        checked_absent = 0
+        for case in range(30):
+            d = int(rng.integers(2, 4))
+            kappa = int(rng.integers(2, 4))
+            n = 30
+            core = int(rng.integers(1, 5))
+            # context off the start, off the end, or inside the series
+            a = (0, 1, n - core, n - core - 1, int(rng.integers(3, 20)))[case % 5]
+            subset = (int(rng.integers(d)),)
+            window = ReplacementWindow(Interval(a, a + core), kappa, subset, n_times=n, n_vars=d)
+            mean, cov = oracles.random_gaussian(rng, window.length * d)
+            joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+            missing = rng.random((n, d)) < 0.15
+            series = make_series(rng.standard_normal((n, d)), missing=missing)
+            values, present = window_observation(series, window)
+            cond = conditional_replacement(joint, window, values, present)
+
+            q_mask = window.query_mask()
+            q_idx = np.flatnonzero(q_mask)
+            e_idx = np.flatnonzero(present.ravel() & ~q_mask)
+            checked_absent += int((~present.ravel() & ~q_mask).sum())
+            kept = np.concatenate([q_idx, e_idx])
+            want_mean, want_cov = oracles.conditional_by_precision(
+                mean[kept],
+                joint.cov[np.ix_(kept, kept)],
+                np.arange(q_idx.size),
+                np.arange(q_idx.size, kept.size),
+                values.ravel()[e_idx],
+            )
+            np.testing.assert_allclose(cond.mean, want_mean, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(cond.cov, want_cov, rtol=1e-8, atol=1e-8)
+        assert checked_absent > 0
+
+    def test_one_model_serves_every_subset(self, rng):
+        """A WindowModel built once gives each subset the same law as a fresh
+        conditional_replacement call for that subset's window."""
+        n, d = 200, 4
+        missing = rng.random((n, d)) < 0.05
+        series = make_series(rng.standard_normal((n, d)), missing=missing)
+        interval = Interval(1, 12)  # left context runs off the series
+        model = WindowModel.fit(series, interval, kappa=3)
+        stat, mean = estimate_stationary(series, interval, max_lag=model.window((0,)).length - 1)
+        joint = assemble_joint(stat, mean, model.window((0,)).length)
+        for subset in [(0,), (3,), (1, 2), (0, 3)]:
+            window = model.window(subset)
+            values, present = window_observation(series, window)
+            want = conditional_replacement(joint, window, values, present)
+            got = model.conditional(subset)
+            np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.cov, want.cov, rtol=1e-12, atol=1e-12)
 
     def test_bivariate_regression_formula(self, rng):
         """d=2, one step, replace variable 0 given variable 1."""

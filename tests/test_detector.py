@@ -3,6 +3,8 @@ import pytest
 
 from anomattr import (
     EmbeddingConfig,
+    ReplacementWindow,
+    apply_replacement,
     Injection,
     Interval,
     ScanConfig,
@@ -11,7 +13,7 @@ from anomattr import (
     generate,
     score_interval,
 )
-from anomattr.detector import PrefixScanner
+from anomattr.detector import LocalRescorer, PrefixScanner
 from anomattr.errors import ConfigError, ScoringError
 from anomattr.series import embed
 
@@ -90,6 +92,80 @@ class TestPrefixEquivalence:
                 assert np.isnan(batch)
                 continue
             assert np.isclose(batch, naive, rtol=1e-8, atol=1e-10)
+
+
+class TestUnderdetermined:
+    """Clumped missing rows leave candidates with too few usable rows to fit
+    the inside covariance; only the jitter would keep them factorizable."""
+
+    @pytest.fixture
+    def clumped(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((600, 3))
+        values[400:440] += 4.0
+        missing = np.zeros((600, 3), dtype=bool)
+        missing[100:130] = True
+        missing[110:118] = False  # an island of 8 observed steps: 6 usable rows
+        return make_series(values, missing=missing)
+
+    def test_scan_naive_and_local_rescore_agree(self, clumped):
+        iv = Interval(100, 125)
+        scanner = PrefixScanner(embed(clumped, EMB))
+        assert np.isnan(scanner.score_batch(np.array([iv.a]), iv.length)[0])
+        with pytest.raises(ScoringError, match="width"):
+            score_interval(clumped, iv, EMB)
+        with pytest.raises(ScoringError, match="width"):
+            LocalRescorer(clumped, iv, EMB).score((0,), np.zeros((iv.length, 1)))
+
+    def test_detect_ranks_only_determined_candidates(self, clumped):
+        emb = embed(clumped, EMB)
+        dets = detect(clumped, ScanConfig(len_min=20, len_max=40, top_k=3, embedding=EMB))
+        assert dets[0].interval.intersects(Interval(400, 440))
+        for det in dets:
+            inside = (emb.times >= det.interval.a) & (emb.times < det.interval.b)
+            assert (inside & ~emb.missing).sum() > emb.width
+            assert np.isclose(det.score, score_interval(clumped, det.interval, EMB), rtol=1e-8)
+
+
+class TestLocalRescorer:
+    """The local re-score equals a full re-score of the modified series."""
+
+    @staticmethod
+    def check(series, interval, subset, cfg, sample):
+        window = ReplacementWindow(interval, cfg.kappa, subset, series.n, series.d)
+        want = score_interval(apply_replacement(series, window, sample), interval, cfg)
+        got = LocalRescorer(series, interval, cfg).score(subset, sample)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    def test_matches_full_rescore(self, tau, offset):
+        rng = np.random.default_rng(int(offset) + tau)
+        n, d = 300, 3
+        missing = rng.random((n, d)) < 0.02
+        series = make_series(rng.standard_normal((n, d)) + offset, missing=missing)
+        cfg = EmbeddingConfig(kappa=3, tau=tau)
+        # Intervals whose replacement context and changed rows run off the
+        # start or the end of the series, and one in the middle.
+        for interval in (Interval(0, 25), Interval(3, 30), Interval(120, 150),
+                         Interval(n - 27, n - 2), Interval(n - 25, n)):
+            for subset in ((0,), (1, 2)):
+                sample = offset + rng.standard_normal((interval.length, len(subset)))
+                self.check(series, interval, subset, cfg, sample)
+
+    def test_replacement_makes_missing_rows_usable(self, rng):
+        n, d = 300, 3
+        missing = np.zeros((n, d), dtype=bool)
+        missing[[125, 131, 148, 149], 0] = True  # inside the interval, replaced column
+        missing[[151, 200], 1] = True
+        series = make_series(rng.standard_normal((n, d)), missing=missing)
+        interval = Interval(120, 150)
+        sample = rng.standard_normal((interval.length, 1))
+        window = ReplacementWindow(interval, EMB.kappa, (0,), n, d)
+        before = (~embed(series, EMB).missing).sum()
+        after = (~embed(apply_replacement(series, window, sample), EMB).missing).sum()
+        assert after > before
+        self.check(series, interval, (0,), EMB, sample)
 
 
 class TestDetect:
