@@ -23,9 +23,7 @@ from .counterfactual import (
     WindowModel,
     apply_replacement,
     assemble_joint,
-    conditional_replacement,
     estimate_stationary,
-    sample_replacement,
     subset_cap,
     window_observation,
 )
@@ -38,7 +36,7 @@ from .errors import (
     ParseError,
     ScoringError,
 )
-from .gaussian import GaussianModel, estimate, kl_divergence, unbiased_kl
+from .gaussian import GaussianModel, estimate, interval_score, kl_divergence
 from .series import (
     Embedding,
     EmbeddingConfig,
@@ -83,21 +81,19 @@ __all__ = [
     "apply_replacement",
     "assemble_joint",
     "attribute",
-    "conditional_replacement",
     "detect",
     "embed",
     "enumerate_subsets",
     "estimate",
     "estimate_stationary",
     "generate",
+    "interval_score",
     "inverse_zscore",
     "kl_divergence",
     "load_csv",
     "pre_event_scores",
-    "sample_replacement",
     "score_interval",
     "subset_cap",
-    "unbiased_kl",
     "univariate_baseline",
     "window_observation",
     "write_csv",

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, NumericalError
-from .gaussian import GaussianModel, jitter_epsilon, regularize_covariance
+from .errors import ConfigError, EstimationError
+from .gaussian import GaussianModel, cholesky, jitter_epsilon, regularize_covariance
 from .series import Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
@@ -251,13 +251,6 @@ def window_observation(
     return values, present
 
 
-def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"{what} is not positive definite") from None
-
-
 def _inverse_lower(lower: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix by recursive 2x2 blocking.
 
@@ -355,7 +348,7 @@ class WindowModel:
         hidden = np.concatenate([q_idx, np.setdiff1d(self.absent, q_idx, assume_unique=True)])
         lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q first, so Lambda_HQ = lam_hh[:, :q]
         pulled = self.pulled[hidden] - lam_hh[:, : q_idx.size] @ self.residual[q_idx]
-        inv_chol = _inverse_lower(_cholesky(lam_hh, "hidden-cell precision"))
+        inv_chol = _inverse_lower(cholesky(lam_hh, "hidden-cell precision"))
         head = inv_chol[:, : q_idx.size]  # Lambda_HH^-1 = inv_chol' inv_chol, Q columns
         cov = head.T @ head
         mean = self.mean[q_idx] - head.T @ (inv_chol @ pulled)
@@ -369,8 +362,7 @@ class WindowModel:
         the draw exactly.
         """
         cond = self.conditional(subset)
-        cov, _, _ = regularize_covariance(cond.cov)
-        chol = np.linalg.cholesky(cov)
+        chol = regularize_covariance(cond.cov)[3]
         shape = (self.geometry.interval.length, len(subset))
 
         def draw(seed) -> np.ndarray:
@@ -378,37 +370,6 @@ class WindowModel:
             return (cond.mean + chol @ rng.standard_normal(cond.dim)).reshape(shape)
 
         return draw
-
-
-def conditional_replacement(
-    joint: GaussianModel,
-    window: ReplacementWindow,
-    observed_values: np.ndarray,
-    observed_present: np.ndarray,
-) -> GaussianModel:
-    """Gaussian law of the replaced coordinates given everything that is kept.
-
-    Evidence is every present, non-replaced coordinate of the window; see
-    :class:`WindowModel` for the precision-form conditioning.
-    """
-    model = WindowModel(joint, window, observed_values, observed_present)
-    return model.conditional(window.subset)
-
-
-def sample_replacement(
-    joint: GaussianModel,
-    window: ReplacementWindow,
-    observed_values: np.ndarray,
-    observed_present: np.ndarray,
-    seed,
-) -> np.ndarray:
-    """One conditional draw of the replaced block, shaped (|interval|, |subset|).
-
-    ``seed`` is anything accepted by ``numpy.random.default_rng``; identical
-    seeds reproduce the draw exactly.
-    """
-    model = WindowModel(joint, window, observed_values, observed_present)
-    return model.sampler(window.subset)(seed)
 
 
 def apply_replacement(

@@ -3,9 +3,10 @@
 Every candidate (start, length) on the scan grid is scored by the
 length-weighted divergence between the Gaussian fitted to embedded rows
 anchored inside the interval and the one fitted to the rest. The scan
-reuses prefix sums of the embedded rows and their outer products, so each
-candidate costs O(width^3) regardless of its length; the result is required
-(and tested) to match naive per-interval re-estimation.
+reuses centered prefix sums of the embedded rows and their outer products,
+so each candidate costs O(width^3) regardless of its length. Scan, naive
+score and local re-score share one divergence layer (:mod:`.gaussian`);
+the scan is required (and tested) to match naive per-interval re-estimation.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gaussian
 from .errors import ConfigError, ScoringError
-from .gaussian import GaussianModel, estimate, kl_divergence, regularize_covariance, unbiased_kl
+from .gaussian import GaussianModel, estimate, interval_score, jittered_cholesky, kl_divergence
+from .gaussian import kl_from_factors, regularize_covariance
 from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, delay_rows, embed
 
 log = logging.getLogger(__name__)
@@ -94,20 +95,13 @@ def interval_row_masks(emb: Embedding, interval: Interval) -> tuple[np.ndarray, 
     return inside, outside
 
 
-def interval_models(
-    series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig
-) -> tuple[GaussianModel, GaussianModel]:
-    """Fit the inside/outside Gaussians for one interval (naive path)."""
+def score_interval(series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig) -> float:
+    """Length-weighted divergence of one interval against the rest of the series (naive path)."""
     interval.validate_within(series.n)
     emb = embed(series, cfg)
     inside, outside = interval_row_masks(emb, interval)
-    return estimate(emb.values[inside]), estimate(emb.values[outside])
-
-
-def score_interval(series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig) -> float:
-    """Length-weighted divergence of one interval against the rest of the series."""
-    p_in, p_out = interval_models(series, interval, cfg)
-    return unbiased_kl(kl_divergence(p_in, p_out), interval)
+    kl = kl_divergence(estimate(emb.values[inside]), estimate(emb.values[outside]))
+    return interval_score(kl, interval.length)
 
 
 class LocalRescorer:
@@ -167,32 +161,33 @@ class LocalRescorer:
             weight = self.fixed_count * changed.shape[0] / n_out
             mean = mean + delta * (changed.shape[0] / n_out)
             m2 = m2 + centered.T @ centered + weight * np.outer(delta, delta)
-        cov, _, _ = regularize_covariance(m2 / n_out)
-        p_out = GaussianModel(mean=mean, cov=cov, count=n_out)
-        return unbiased_kl(kl_divergence(estimate(inside), p_out), self.interval)
+        p_out = GaussianModel(mean=mean, cov=regularize_covariance(m2 / n_out)[0], count=n_out)
+        kl = kl_divergence(estimate(inside), p_out)
+        return interval_score(kl, self.interval.length)
 
 
 class PrefixScanner:
     """Prefix-sum statistics over embedded rows for O(1) interval moments.
 
-    Missing rows are zero-filled and tracked by a separate count prefix, so
-    means and ML covariances come out identical (up to round-off) to naive
-    re-estimation over the usable rows.
+    The rows are centered on the mean of the usable ones, so the sums do not
+    cancel against a large offset. Missing rows are zero-filled and tracked
+    by a separate count prefix, so means and ML covariances come out
+    identical (up to round-off) to naive re-estimation over the usable rows.
     """
 
     def __init__(self, emb: Embedding):
         valid = ~emb.missing
-        x = np.where(valid[:, None], emb.values, 0.0)
-        m, width = x.shape
+        m, width = emb.values.shape
+        center = emb.values[valid].mean(axis=0) if valid.any() else 0.0
+        x = np.where(valid[:, None], emb.values - center, 0.0)
         self.width = width
         self.lead = int(emb.times[0])
         self.rows = m
         self.counts = np.concatenate([[0], np.cumsum(valid)])
-        self.sums = np.vstack([np.zeros(width), np.cumsum(x, axis=0)])
-        outer = x[:, :, None] * x[:, None, :]
-        self.outer_sums = np.concatenate(
-            [np.zeros((1, width, width)), np.cumsum(outer, axis=0)], axis=0
-        )
+        self.sums = np.zeros((m + 1, width))
+        np.cumsum(x, axis=0, out=self.sums[1:])
+        self.outer_sums = np.zeros((m + 1, width, width))
+        np.cumsum(x[:, :, None] * x[:, None, :], axis=0, out=self.outer_sums[1:])
         self.total_count = int(self.counts[-1])
         self.total_sum = self.sums[-1]
         self.total_outer = self.outer_sums[-1]
@@ -205,7 +200,8 @@ class PrefixScanner:
     def score_batch(self, starts: np.ndarray, length: int) -> np.ndarray:
         """Length-weighted scores for all intervals [s, s+length); NaN if unscorable.
 
-        Unscorable: at most ``width`` usable rows inside, or fewer than 2 outside.
+        Unscorable: at most ``width`` usable rows inside, fewer than 2
+        outside, or a covariance that does not factor.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -219,46 +215,29 @@ class PrefixScanner:
         if not ok.any():
             return out
         lo, hi = lo[ok], hi[ok]
-        cin = cnt_in[ok].astype(float)[:, None]
-        cout = cnt_out[ok].astype(float)[:, None]
-
         sum_in = self.sums[hi] - self.sums[lo]
-        mu_in = sum_in / cin
-        mu_out = (self.total_sum - sum_in) / cout
-        m2_in = (self.outer_sums[hi] - self.outer_sums[lo]) / cin[..., None]
-        m2_out = (self.total_outer - (self.outer_sums[hi] - self.outer_sums[lo])) / cout[..., None]
-        cov_in = m2_in - mu_in[:, :, None] * mu_in[:, None, :]
-        cov_out = m2_out - mu_out[:, :, None] * mu_out[:, None, :]
-
-        kl = _batched_kl(mu_in, cov_in, mu_out, cov_out)
-        out[ok] = 2.0 * length * kl
+        outer_in = self.outer_sums[hi]
+        outer_in -= self.outer_sums[lo]
+        # Each covariance stack is built in place and dropped once factored;
+        # at most four candidate-sized stacks are alive at a time.
+        mu_out, chol_out = _fit(self.total_outer - outer_in, self.total_sum - sum_in, cnt_out[ok])
+        mu_in, chol_in = _fit(outer_in, sum_in, cnt_in[ok])
+        del outer_in
+        kl = kl_from_factors(mu_in, chol_in, mu_out, chol_out)
+        out[ok] = interval_score(np.maximum(kl, 0.0), length)
         return out
 
 
-def _batched_kl(mu_p, cov_p, mu_q, cov_q) -> np.ndarray:
-    """Vectorized KL(p || q) over stacks of Gaussians; NaN where ill-posed."""
-    width = mu_p.shape[1]
-    eye = np.eye(width)
+def _fit(outer: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+    """Means and jittered covariance factors of a stack from its moment sums.
 
-    def jittered(cov):
-        eps = np.maximum(
-            gaussian.JITTER_FLOOR,
-            gaussian.JITTER_FLOOR * np.einsum("kii->k", cov) / width,
-        )
-        return cov + eps[:, None, None] * eye
-
-    cov_p = jittered(cov_p)
-    cov_q = jittered(cov_q)
-    sign_p, logdet_p = np.linalg.slogdet(cov_p)
-    sign_q, logdet_q = np.linalg.slogdet(cov_q)
-    diff = mu_q - mu_p
-    rhs = np.concatenate([cov_p, diff[:, :, None]], axis=2)
-    sol = np.linalg.solve(cov_q, rhs)
-    trace_term = np.einsum("kii->k", sol[:, :, :width])
-    maha = np.einsum("ki,ki->k", diff, sol[:, :, width])
-    kl = 0.5 * (maha + trace_term + logdet_q - logdet_p - width)
-    kl = np.where((sign_p > 0) & (sign_q > 0), np.maximum(kl, 0.0), np.nan)
-    return kl
+    ``outer`` is overwritten with the covariances.
+    """
+    counts = counts.astype(float)
+    mean = sums / counts[:, None]
+    outer /= counts[:, None, None]
+    outer -= mean[:, :, None] * mean[:, None, :]
+    return mean, jittered_cholesky(outer)
 
 
 def _suppress(scores, starts, lens, order, top_k: int) -> list[Detection]:

@@ -1,13 +1,16 @@
 """Gaussian fits over sample rows and the closed-form divergence between two fits.
 
-The divergence of a fitted pair (p, q) is the standard non-negative
+The one place that knows how two Gaussians are compared; the interval scan,
+the naive interval score and the local re-score all go through it. The
+divergence of a fitted pair (p, q) is the standard non-negative
 Kullback-Leibler closed form for multivariate normals,
 
     KL(p || q) = 1/2 [ (mu_q-mu_p)' Sq^-1 (mu_q-mu_p) + tr(Sq^-1 Sp)
                        + ln(|Sq|/|Sp|) - m ],
 
-evaluated through a Cholesky factorization of Sq (no explicit inverse).
-Interval ranking uses the length-weighted form ``2 * |I| * KL``.
+evaluated from Cholesky factors of Sp and Sq, for one pair or a stack
+(:func:`kl_from_factors`). Every covariance gets the same diagonal jitter
+(:func:`jitter_epsilon`). Intervals are ranked by ``2 * |I| * KL``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, NumericalError
-from .series import Interval
 
 log = logging.getLogger(__name__)
 
@@ -26,27 +28,27 @@ log = logging.getLogger(__name__)
 JITTER_FLOOR = 1e-9
 
 
-def jitter_epsilon(cov: np.ndarray) -> float:
-    """Scale-aware jitter: max(floor, floor * mean diagonal magnitude)."""
-    m = cov.shape[0]
-    return max(JITTER_FLOOR, JITTER_FLOOR * float(np.trace(cov)) / m)
+def jitter_epsilon(cov: np.ndarray):
+    """Scale-aware jitter: max(floor, floor * mean diagonal magnitude), per matrix of a stack."""
+    trace = np.trace(cov, axis1=-2, axis2=-1)
+    return np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / cov.shape[-1])
 
 
-def regularize_covariance(cov: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def regularize_covariance(cov: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
     """Symmetrize ``cov`` and make it positive definite.
 
     Adds scale-aware diagonal jitter; if a Cholesky factorization still
     fails (possible for pairwise-complete estimates, which need not be
     PSD), clips eigenvalues at the jitter level instead.
 
-    Returns (regularized covariance, jitter epsilon, clipped flag).
+    Returns (regularized covariance, jitter epsilon, clipped flag, lower
+    Cholesky factor of the regularized covariance).
     """
     sym = 0.5 * (cov + cov.T)
     eps = jitter_epsilon(sym)
     candidate = sym + eps * np.eye(sym.shape[0])
     try:
-        np.linalg.cholesky(candidate)
-        return candidate, eps, False
+        return candidate, eps, False, np.linalg.cholesky(candidate)
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(sym)
@@ -57,7 +59,7 @@ def regularize_covariance(cov: np.ndarray) -> tuple[np.ndarray, float, bool]:
     )
     clipped = (v * np.maximum(w, eps)) @ v.T
     clipped = 0.5 * (clipped + clipped.T)
-    return clipped, eps, True
+    return clipped, eps, True, np.linalg.cholesky(clipped)
 
 
 @dataclass(frozen=True)
@@ -124,46 +126,90 @@ def estimate(rows: np.ndarray, missing: np.ndarray | None = None) -> GaussianMod
     raw = centered.T @ centered
     with np.errstate(invalid="ignore"):
         cov = np.where(pair_counts > 0, raw / np.maximum(pair_counts, 1.0), 0.0)
-    cov, _, _ = regularize_covariance(cov)
+    cov = regularize_covariance(cov)[0]
     return GaussianModel(mean=mean, cov=cov, count=usable)
 
 
-def _chol(cov: np.ndarray, what: str) -> np.ndarray:
+def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
+    """Add the jitter to the diagonal of each matrix of a stack, in place, and factor it.
+
+    numpy factors a stack in one call but raises for the whole stack when
+    one matrix fails; the matrices are then factored one by one, and each
+    one that is not positive definite gets a factor of NaN (so its
+    divergence in :func:`kl_from_factors` is NaN).
+    """
+    diag = np.arange(covs.shape[-1])
+    covs[:, diag, diag] += jitter_epsilon(covs)[:, None]
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.full_like(covs, np.nan)
+    for k, cov in enumerate(covs):
+        try:
+            factors[k] = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            pass
+    return factors
+
+
+def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
+    """KL(p || q) from means (..., m) and lower Cholesky factors (..., m, m).
+
+    Works on one pair or on stacks of pairs. The log-determinants come from
+    the factor diagonals, the other terms from one solve of
+    [Lp | mu_q - mu_p] against Lq. The value is not clamped at zero; a pair
+    with a NaN factor gets NaN.
+    """
+    m = mu_p.shape[-1]
+    half_logdet_p, half_logdet_q = (
+        np.log(np.diagonal(l, axis1=-2, axis2=-1)).sum(axis=-1) for l in (chol_p, chol_q)
+    )
+    logdet = 2.0 * (half_logdet_q - half_logdet_p)
+    failed = np.isnan(logdet)
+    rhs = np.concatenate([chol_p, (mu_q - mu_p)[..., None]], axis=-1)
+    if failed.any():  # keep NaN out of LAPACK: solve identity systems instead
+        rhs[failed] = 0.0
+        chol_q = np.where(failed[..., None, None], np.eye(m), chol_q)
+    sol = np.linalg.solve(chol_q, rhs)
+    del rhs
+    trace_term = np.einsum("...ij,...ij->...", sol[..., :m], sol[..., :m])
+    maha = np.einsum("...i,...i->...", sol[..., m], sol[..., m])
+    return np.where(failed, np.nan, 0.5 * (maha + trace_term + logdet - m))
+
+
+def cholesky(cov: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``; NumericalError naming ``what`` if not PD."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise NumericalError(f"{what} covariance is not positive definite") from None
+        raise NumericalError(f"{what} is not positive definite") from None
 
 
 def kl_divergence(p: GaussianModel, q: GaussianModel) -> float:
     """Closed-form KL(p || q); non-negative, with tiny round-off clamped to 0."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    m = p.dim
-    l_q = _chol(q.cov, "q")
-    l_p = _chol(p.cov, "p")
-    a = np.linalg.solve(l_q, l_p)
-    trace_term = float((a * a).sum())
-    v = np.linalg.solve(l_q, q.mean - p.mean)
-    maha = float(v @ v)
-    logdet = 2.0 * float(np.log(np.diag(l_q)).sum() - np.log(np.diag(l_p)).sum())
-    value = 0.5 * (maha + trace_term + logdet - m)
+    l_q = cholesky(q.cov, "q covariance")
+    value = float(kl_from_factors(p.mean, cholesky(p.cov, "p covariance"), q.mean, l_q))
     if value < -1e-6:
         raise NumericalError(f"divergence evaluated to {value:.3g}; factorization unreliable")
     return max(0.0, value)
 
 
-def unbiased_kl(score: float, interval: Interval) -> float:
-    """Length-weighted interval score ``2 * |I| * KL`` used for ranking."""
-    if score < 0:
-        raise ValueError(f"score must be non-negative, got {score}")
-    return 2.0 * interval.length * score
+def interval_score(kl, length: int):
+    """Length-weighted interval score ``2 * |I| * KL`` used for ranking.
+
+    ``kl`` is one divergence or an array of them (NaN passes through).
+    """
+    if np.any(np.asarray(kl) < 0):
+        raise ValueError(f"divergence must be non-negative, got {np.nanmin(kl)}")
+    return 2.0 * length * kl
 
 
 def sample(model: GaussianModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw from a fitted Gaussian (regularizing the covariance if needed)."""
-    cov, _, _ = regularize_covariance(model.cov)
-    l = np.linalg.cholesky(cov)
+    l = regularize_covariance(model.cov)[3]
     if size is None:
         return model.mean + l @ rng.standard_normal(model.dim)
     return model.mean + rng.standard_normal((size, model.dim)) @ l.T

@@ -18,8 +18,8 @@ from anomattr import (
     ReplacementWindow,
     ScanConfig,
     SynthSpec,
+    WindowModel,
     attribute,
-    conditional_replacement,
     detect,
     estimate_stationary,
     generate,
@@ -128,7 +128,7 @@ def test_criterion_3_conditional_sampler():
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
         values, present = window_observation(series, window)
-        cond = conditional_replacement(joint, window, values, present)
+        cond = WindowModel(joint, window, values, present).conditional(window.subset)
 
         q_idx = np.flatnonzero(window.query_mask())
         e_idx = np.flatnonzero(present.ravel() & ~window.query_mask())

@@ -11,9 +11,7 @@ from anomattr import (
     WindowModel,
     apply_replacement,
     assemble_joint,
-    conditional_replacement,
     estimate_stationary,
-    sample_replacement,
     window_observation,
 )
 from anomattr.errors import ConfigError, EstimationError
@@ -200,7 +198,7 @@ class TestConditional:
             joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
             series = make_series(rng.standard_normal((n, d)))
             values, present = window_observation(series, window)
-            cond = conditional_replacement(joint, window, values, present)
+            cond = WindowModel(joint, window, values, present).conditional(window.subset)
 
             q_mask = window.query_mask()
             q_idx = np.flatnonzero(q_mask)
@@ -230,7 +228,7 @@ class TestConditional:
             missing = rng.random((n, d)) < 0.15
             series = make_series(rng.standard_normal((n, d)), missing=missing)
             values, present = window_observation(series, window)
-            cond = conditional_replacement(joint, window, values, present)
+            cond = WindowModel(joint, window, values, present).conditional(window.subset)
 
             q_mask = window.query_mask()
             q_idx = np.flatnonzero(q_mask)
@@ -250,7 +248,7 @@ class TestConditional:
 
     def test_one_model_serves_every_subset(self, rng):
         """A WindowModel built once gives each subset the same law as a fresh
-        conditional_replacement call for that subset's window."""
+        WindowModel built from the same joint for that subset's window."""
         n, d = 200, 4
         missing = rng.random((n, d)) < 0.05
         series = make_series(rng.standard_normal((n, d)), missing=missing)
@@ -261,7 +259,7 @@ class TestConditional:
         for subset in [(0,), (3,), (1, 2), (0, 3)]:
             window = model.window(subset)
             values, present = window_observation(series, window)
-            want = conditional_replacement(joint, window, values, present)
+            want = WindowModel(joint, window, values, present).conditional(window.subset)
             got = model.conditional(subset)
             np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.cov, want.cov, rtol=1e-12, atol=1e-12)
@@ -278,7 +276,7 @@ class TestConditional:
         series = make_series(np.array([[999.0, z]]))  # value of var 0 is irrelevant
         window = ReplacementWindow(Interval(0, 1), kappa=1, subset=(0,), n_times=1, n_vars=2)
         values, present = window_observation(series, window)
-        cond = conditional_replacement(joint, window, values, present)
+        cond = WindowModel(joint, window, values, present).conditional(window.subset)
         want = mu[0] + rho * (sigma1 / sigma2) * (z - mu[1])
         assert np.isclose(cond.mean[0], want)
         assert np.isclose(cond.cov[0, 0], sigma1**2 * (1 - rho**2))
@@ -298,8 +296,8 @@ class TestConditional:
         window = ReplacementWindow(Interval(10, 12), kappa=2, subset=(0,), n_times=30, n_vars=2)
         v1, p1 = window_observation(series_full, window)
         v2, p2 = window_observation(series_hidden, window)
-        cond_full = conditional_replacement(joint, window, v1, p1)
-        cond_hidden = conditional_replacement(joint, window, v2, p2)
+        cond_full = WindowModel(joint, window, v1, p1).conditional(window.subset)
+        cond_hidden = WindowModel(joint, window, v2, p2).conditional(window.subset)
         np.testing.assert_allclose(cond_full.mean, cond_hidden.mean, atol=1e-10)
         np.testing.assert_allclose(cond_full.cov, cond_hidden.cov, atol=1e-10)
 
@@ -313,14 +311,10 @@ class TestConditional:
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
         values, present = window_observation(series, window)
-        cond = conditional_replacement(joint, window, values, present)
+        cond = WindowModel(joint, window, values, present).conditional(window.subset)
         n_draws = 2000
-        draws = np.stack(
-            [
-                sample_replacement(joint, window, values, present, seed).ravel()
-                for seed in range(n_draws)
-            ]
-        )
+        draw = WindowModel(joint, window, values, present).sampler(window.subset)
+        draws = np.stack([draw(seed).ravel() for seed in range(n_draws)])
         se = np.sqrt(np.diag(cond.cov) / n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - cond.mean) < 4 * se)
 
@@ -340,9 +334,10 @@ class TestSampling:
 
     def test_seed_determinism_and_distinctness(self, rng):
         _, window, joint, values, present = self._setup(rng)
-        s1 = sample_replacement(joint, window, values, present, 42)
-        s2 = sample_replacement(joint, window, values, present, 42)
-        s3 = sample_replacement(joint, window, values, present, 43)
+        draw = WindowModel(joint, window, values, present).sampler(window.subset)
+        s1 = draw(42)
+        s2 = WindowModel(joint, window, values, present).sampler(window.subset)(42)
+        s3 = draw(43)
         assert np.array_equal(s1, s2)
         assert not np.array_equal(s1, s3)
         assert s1.shape == (10, 1)
@@ -358,8 +353,9 @@ class TestSampling:
         marg_mean = joint.mean[q_idx][0]
         marg_sd = np.sqrt(joint.cov[q_idx[0], q_idx[0]])
         rng2 = np.random.default_rng(77)
+        sampler = WindowModel(joint, window, values, present).sampler(window.subset)
         for seed in range(1000):
-            draw = sample_replacement(joint, window, values, present, seed)
+            draw = sampler(seed)
             cond_jumps.append(abs(draw[0, 0] - left_value))
             uncond_jumps.append(abs(marg_mean + marg_sd * rng2.standard_normal() - left_value))
         assert np.mean(cond_jumps) < np.mean(uncond_jumps)

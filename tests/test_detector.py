@@ -250,6 +250,22 @@ class TestDetect:
         for d1, d2 in zip(base, moved):
             assert np.isclose(d1.score, d2.score, rtol=1e-8)
 
+    @pytest.mark.parametrize("scale", [1.0, 37.5, 1e3])
+    @pytest.mark.parametrize("offset", [1e2, 1e5, 1e8])
+    def test_affine_invariance(self, scale, offset):
+        """detect on scale * x + offset (no normalization) finds the same
+        intervals with the same scores. Scales stay >= 1: below that the
+        absolute jitter floor, not the data, sets part of the score."""
+        rng = np.random.default_rng(29)
+        series, _ = shifted_series(rng, n=600, d=3, a=300, b=340, shift=3.0)
+        cfg = ScanConfig(len_min=30, len_max=45, top_k=3, embedding=EMB)
+        base = detect(series, cfg)
+        moved = make_series(scale * series.values + offset * np.array([1.0, -0.3, 0.7]))
+        got = detect(moved, cfg)
+        assert [d.interval for d in got] == [d.interval for d in base]
+        for d1, d2 in zip(base, got):
+            assert d2.score == pytest.approx(d1.score, rel=1e-6)
+
     def test_len_bounds_validated(self, small_series):
         with pytest.raises(ConfigError):
             ScanConfig(len_min=10, len_max=5)

@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from anomattr import GaussianModel, Interval, estimate, kl_divergence, unbiased_kl
+from anomattr import GaussianModel, estimate, interval_score, kl_divergence
 from anomattr.errors import EstimationError
-from anomattr.gaussian import JITTER_FLOOR, regularize_covariance
+from anomattr.gaussian import (
+    JITTER_FLOOR,
+    jitter_epsilon,
+    jittered_cholesky,
+    kl_from_factors,
+    regularize_covariance,
+)
 
 import oracles
 
@@ -74,15 +80,27 @@ class TestEstimate:
 class TestRegularize:
     def test_indefinite_matrix_gets_clipped(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        fixed, eps, clipped = regularize_covariance(cov)
+        fixed, eps, clipped, chol = regularize_covariance(cov)
         assert clipped
         assert np.linalg.eigvalsh(fixed).min() >= eps * (1 - 1e-9)
+        assert np.array_equal(chol, np.linalg.cholesky(fixed))
 
     def test_pd_matrix_only_jittered(self):
         cov = np.diag([2.0, 3.0])
-        fixed, eps, clipped = regularize_covariance(cov)
+        fixed, eps, clipped, chol = regularize_covariance(cov)
         assert not clipped
         assert np.allclose(fixed, cov + eps * np.eye(2))
+        # the returned factor is the one a fresh factorization gives, so
+        # samplers that use it draw exactly what they drew before
+        assert np.array_equal(chol, np.linalg.cholesky(fixed))
+
+    def test_jitter_of_a_stack_is_per_matrix(self, rng):
+        covs = np.stack([oracles.random_gaussian(rng, 3)[1] * s for s in (1e-12, 1.0, 1e4)])
+        eps = jitter_epsilon(covs)
+        assert eps.shape == (3,)
+        assert eps[0] == JITTER_FLOOR
+        for cov, e in zip(covs, eps):
+            assert e == jitter_epsilon(cov)
 
 
 class TestKl:
@@ -161,20 +179,68 @@ class TestKl:
         assert kl_divergence(model(mp, cp), model(mq, cq)) >= 0.0
 
 
+class TestStackedKl:
+    """The stacked kernel used by the scan agrees with kl_divergence pair by pair."""
+
+    @staticmethod
+    def stack(rng, k, dim):
+        pairs = [
+            (oracles.random_gaussian(rng, dim), oracles.random_gaussian(rng, dim))
+            for _ in range(k)
+        ]
+        mu_p, cov_p = (np.stack(x) for x in zip(*(p for p, _ in pairs)))
+        mu_q, cov_q = (np.stack(x) for x in zip(*(q for _, q in pairs)))
+        return mu_p, cov_p, mu_q, cov_q
+
+    @staticmethod
+    def one_at_a_time(mu_p, cov_p, mu_q, cov_q, k):
+        eps_p, eps_q = jitter_epsilon(cov_p[k]), jitter_epsilon(cov_q[k])
+        return kl_divergence(
+            model(mu_p[k], cov_p[k] + eps_p * np.eye(len(mu_p[k]))),
+            model(mu_q[k], cov_q[k] + eps_q * np.eye(len(mu_q[k]))),
+        )
+
+    def test_matches_pairwise_kl(self, rng):
+        mu_p, cov_p, mu_q, cov_q = self.stack(rng, 12, 4)
+        want = [self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, k) for k in range(12)]
+        got = kl_from_factors(
+            mu_p, jittered_cholesky(cov_p.copy()), mu_q, jittered_cholesky(cov_q.copy())
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_one_matrix_that_does_not_factor(self, rng, side):
+        """numpy refuses the whole stack; only the bad candidate gets NaN."""
+        mu_p, cov_p, mu_q, cov_q = self.stack(rng, 6, 3)
+        bad = cov_p if side == "p" else cov_q
+        bad[2] = np.diag([1.0, -1.0, 2.0])  # indefinite: jitter cannot fix it
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(bad)
+        got = kl_from_factors(
+            mu_p, jittered_cholesky(cov_p.copy()), mu_q, jittered_cholesky(cov_q.copy())
+        )
+        assert np.isnan(got[2])
+        for k in (0, 1, 3, 4, 5):
+            want = self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, k)
+            assert got[k] == pytest.approx(want, rel=1e-10)
+
+
 class TestUnbiasedKl:
+    """interval_score, the length weighting 2 * |I| * KL (once named unbiased_kl)."""
+
     def test_definition(self):
-        assert unbiased_kl(0.5, Interval(0, 10)) == 10.0
+        assert interval_score(0.5, 10) == 10.0
 
     def test_zero(self):
-        assert unbiased_kl(0.0, Interval(3, 17)) == 0.0
+        assert interval_score(0.0, 14) == 0.0
 
     def test_composition_with_variance_example(self):
         p = model([0.0], [[2.0]])
         q = model([0.0], [[1.0]])
-        got = unbiased_kl(kl_divergence(p, q), Interval(100, 125))
+        got = interval_score(kl_divergence(p, q), 25)
         assert np.isclose(got, 2 * 25 * 0.5 * (2.0 + np.log(0.5) - 1.0), rtol=1e-12)
         assert np.isclose(got, 7.6713, atol=5e-5)
 
     def test_rejects_negative_score(self):
         with pytest.raises(ValueError):
-            unbiased_kl(-0.1, Interval(0, 5))
+            interval_score(-0.1, 5)
