@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     ScoringError,
 )
-from .gaussian import GaussianModel, estimate, interval_score, kl_divergence
+from .gaussian import GaussianModel, interval_score, kl_divergence
 from .series import (
     Embedding,
     EmbeddingConfig,
@@ -84,7 +84,6 @@ __all__ = [
     "detect",
     "embed",
     "enumerate_subsets",
-    "estimate",
     "estimate_stationary",
     "generate",
     "interval_score",

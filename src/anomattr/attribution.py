@@ -26,6 +26,9 @@ from .series import EmbeddingConfig, Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
 
+#: More variables than this need ``allow_many_variables``: the subset family grows as 2^d.
+MAX_VARIABLES = 20
+
 
 @dataclass(frozen=True)
 class VariableSubset:
@@ -66,7 +69,6 @@ class AttributionConfig:
     max_subset_size: int | None = None
     baseline_bins: int = 30
     threads: int = 1
-    max_variables: int = 20
     allow_many_variables: bool = False
 
     def __post_init__(self):
@@ -186,7 +188,7 @@ def _attribute_window(
 ) -> AttributionReport:
     if series.d < 2:
         raise ConfigError("attribution needs at least 2 variables")
-    if series.d > cfg.max_variables and not cfg.allow_many_variables:
+    if series.d > MAX_VARIABLES and not cfg.allow_many_variables:
         raise ConfigError(
             f"{series.d} variables would enumerate a very large subset family; "
             f"pass allow_many_variables=True to proceed"

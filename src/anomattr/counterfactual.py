@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .gaussian import GaussianModel, cholesky, jitter_epsilon, regularize_covariance
+from .gaussian import GaussianModel, cholesky, jitter_epsilon, jittered_factor
 from .series import Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
@@ -285,8 +285,10 @@ class WindowModel:
 
     where r_H0 is r with the entries of H zeroed; its Q block is the
     replacement law. Each subset thus costs one factorization of
-    Lambda_HH (size |H|) instead of one of the evidence block. The model is
-    read-only after construction and may be shared between threads.
+    Lambda_HH (size |H|) instead of one of the evidence block, plus the one
+    jittered factor of its replacement covariance that :meth:`sampler`
+    draws with. The model is read-only after construction and may be shared
+    between threads.
     """
 
     def __init__(
@@ -359,10 +361,11 @@ class WindowModel:
 
         The returned function maps anything accepted by
         ``numpy.random.default_rng`` to one draw; identical seeds reproduce
-        the draw exactly.
+        the draw exactly. The conditional covariance is factored once, with
+        the jitter; NumericalError if it does not factor.
         """
         cond = self.conditional(subset)
-        chol = regularize_covariance(cond.cov)[3]
+        chol = jittered_factor(cond.cov, f"replacement covariance of subset {tuple(subset)}")
         shape = (self.geometry.interval.length, len(subset))
 
         def draw(seed) -> np.ndarray:

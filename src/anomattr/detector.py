@@ -5,8 +5,10 @@ length-weighted divergence between the Gaussian fitted to embedded rows
 anchored inside the interval and the one fitted to the rest. The scan
 reuses centered prefix sums of the embedded rows and their outer products,
 so each candidate costs O(width^3) regardless of its length. Scan, naive
-score and local re-score share one divergence layer (:mod:`.gaussian`);
-the scan is required (and tested) to match naive per-interval re-estimation.
+score and local re-score go one way: moments, one jittered factor per
+covariance (:mod:`.gaussian`), the divergence, and one rule that turns it
+into a score (:func:`_scores`). The scan is required (and tested) to match
+naive per-interval re-estimation.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ScoringError
-from .gaussian import GaussianModel, estimate, interval_score, jittered_cholesky, kl_divergence
-from .gaussian import kl_from_factors, regularize_covariance
+from .errors import ConfigError, NumericalError, ScoringError
+from .gaussian import interval_score, jittered_cholesky, kl_from_factors
 from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, delay_rows, embed
 
 log = logging.getLogger(__name__)
@@ -100,8 +101,38 @@ def score_interval(series: MultivariateSeries, interval: Interval, cfg: Embeddin
     interval.validate_within(series.n)
     emb = embed(series, cfg)
     inside, outside = interval_row_masks(emb, interval)
-    kl = kl_divergence(estimate(emb.values[inside]), estimate(emb.values[outside]))
-    return interval_score(kl, interval.length)
+    return _score_pair(interval, _moments(emb.values[inside]), _moments(emb.values[outside]))
+
+
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and maximum-likelihood covariance of complete rows."""
+    mean = rows.sum(axis=0) / rows.shape[0]
+    centered = rows - mean
+    return mean, centered.T @ centered / rows.shape[0]
+
+
+def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
+    """Interval scores of fitted (mean, factor) pairs, one pair or a stack.
+
+    NaN where a factor is NaN (its covariance did not factor) or the
+    divergence is below -1e-6, more than round-off; a divergence between
+    that and 0 is round-off and counts as 0.
+    """
+    kl = kl_from_factors(mu_in, chol_in, mu_out, chol_out)
+    return interval_score(np.where(kl < -1e-6, np.nan, np.maximum(kl, 0.0)), length)
+
+
+def _score_pair(interval: Interval, inside, outside) -> float:
+    """One interval's score from each side's (mean, covariance); NumericalError if unscorable."""
+    (mu_in, cov_in), (mu_out, cov_out) = inside, outside
+    chol_in, chol_out = jittered_cholesky(np.stack([cov_in, cov_out]))
+    score = float(_scores(mu_in, chol_in, mu_out, chol_out, interval.length))
+    if np.isnan(score):
+        raise NumericalError(
+            f"interval [{interval.a}, {interval.b}) is unscorable: a covariance does not "
+            f"factor after the jitter, or the divergence is negative"
+        )
+    return score
 
 
 class LocalRescorer:
@@ -110,12 +141,14 @@ class LocalRescorer:
     A change confined to [a, b) alters only the embedded rows anchored in
     [a, b + history). The count, mean and centered second moment (M2) of the
     other usable outside rows are computed once. Each re-score re-embeds the
-    changed rows, fits the inside ones with :func:`estimate`, and merges the
+    changed rows, takes the moments of the inside ones, and merges the
     changed outside ones into the fixed moments with the pairwise update of
     Chan et al.; raw moments E[xx'] - mu mu' would lose precision when the
-    data sit far from zero. The result equals :func:`score_interval` on the
-    modified series up to round-off, with the same ScoringError checks.
-    Read-only after construction; safe to share between threads.
+    data sit far from zero. Both covariances are then factored once and
+    scored as in :func:`score_interval`, whose result this equals on the
+    modified series up to round-off, with the same ScoringError checks and
+    the same NumericalError for an unscorable pair. Read-only after
+    construction; safe to share between threads.
     """
 
     def __init__(self, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig):
@@ -161,9 +194,7 @@ class LocalRescorer:
             weight = self.fixed_count * changed.shape[0] / n_out
             mean = mean + delta * (changed.shape[0] / n_out)
             m2 = m2 + centered.T @ centered + weight * np.outer(delta, delta)
-        p_out = GaussianModel(mean=mean, cov=regularize_covariance(m2 / n_out)[0], count=n_out)
-        kl = kl_divergence(estimate(inside), p_out)
-        return interval_score(kl, self.interval.length)
+        return _score_pair(self.interval, _moments(inside), (mean, m2 / n_out))
 
 
 class PrefixScanner:
@@ -201,7 +232,7 @@ class PrefixScanner:
         """Length-weighted scores for all intervals [s, s+length); NaN if unscorable.
 
         Unscorable: at most ``width`` usable rows inside, fewer than 2
-        outside, or a covariance that does not factor.
+        outside, or a pair that :func:`_scores` refuses.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -223,8 +254,7 @@ class PrefixScanner:
         mu_out, chol_out = _fit(self.total_outer - outer_in, self.total_sum - sum_in, cnt_out[ok])
         mu_in, chol_in = _fit(outer_in, sum_in, cnt_in[ok])
         del outer_in
-        kl = kl_from_factors(mu_in, chol_in, mu_out, chol_out)
-        out[ok] = interval_score(np.maximum(kl, 0.0), length)
+        out[ok] = _scores(mu_in, chol_in, mu_out, chol_out, length)
         return out
 
 

@@ -1,28 +1,29 @@
-"""Gaussian fits over sample rows and the closed-form divergence between two fits.
+"""Jittered Cholesky factors of Gaussians and the closed-form divergence between two.
 
 The one place that knows how two Gaussians are compared; the interval scan,
-the naive interval score and the local re-score all go through it. The
-divergence of a fitted pair (p, q) is the standard non-negative
-Kullback-Leibler closed form for multivariate normals,
+the naive interval score and the local re-score all go through it. Every
+fitted covariance is factored once, by :func:`jittered_cholesky`, after the
+same scale-aware diagonal jitter (:func:`jitter_epsilon`). A covariance that
+still does not factor gets a NaN factor and its interval is unscorable;
+nothing is repaired here (the one eigenvalue clip in the package is the
+block-Toeplitz assembly's). The divergence of a fitted pair (p, q) is the
+standard non-negative Kullback-Leibler closed form for multivariate normals,
 
     KL(p || q) = 1/2 [ (mu_q-mu_p)' Sq^-1 (mu_q-mu_p) + tr(Sq^-1 Sp)
                        + ln(|Sq|/|Sp|) - m ],
 
-evaluated from Cholesky factors of Sp and Sq, for one pair or a stack
-(:func:`kl_from_factors`). Every covariance gets the same diagonal jitter
-(:func:`jitter_epsilon`). Intervals are ranked by ``2 * |I| * KL``.
+evaluated from the Cholesky factors of Sp and Sq, for one pair or a stack
+(:func:`kl_from_factors`). Intervals are ranked by ``2 * |I| * KL``
+(:func:`interval_score`).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, NumericalError
-
-log = logging.getLogger(__name__)
+from .errors import NumericalError
 
 #: Floor for the diagonal jitter added before factorizing a covariance.
 JITTER_FLOOR = 1e-9
@@ -34,41 +35,12 @@ def jitter_epsilon(cov: np.ndarray):
     return np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / cov.shape[-1])
 
 
-def regularize_covariance(cov: np.ndarray) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """Symmetrize ``cov`` and make it positive definite.
-
-    Adds scale-aware diagonal jitter; if a Cholesky factorization still
-    fails (possible for pairwise-complete estimates, which need not be
-    PSD), clips eigenvalues at the jitter level instead.
-
-    Returns (regularized covariance, jitter epsilon, clipped flag, lower
-    Cholesky factor of the regularized covariance).
-    """
-    sym = 0.5 * (cov + cov.T)
-    eps = jitter_epsilon(sym)
-    candidate = sym + eps * np.eye(sym.shape[0])
-    try:
-        return candidate, eps, False, np.linalg.cholesky(candidate)
-    except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(sym)
-    log.warning(
-        "covariance not PD after jitter: clipping eigenvalues at %.3g (min was %.3g)",
-        eps,
-        w.min(),
-    )
-    clipped = (v * np.maximum(w, eps)) @ v.T
-    clipped = 0.5 * (clipped + clipped.T)
-    return clipped, eps, True, np.linalg.cholesky(clipped)
-
-
 @dataclass(frozen=True)
 class GaussianModel:
-    """Mean vector and covariance matrix fitted to a sample population."""
+    """Mean vector and symmetric covariance matrix of a Gaussian."""
 
     mean: np.ndarray
     cov: np.ndarray
-    count: int = 0
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
@@ -86,48 +58,6 @@ class GaussianModel:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def estimate(rows: np.ndarray, missing: np.ndarray | None = None) -> GaussianModel:
-    """Fit a Gaussian to sample rows (maximum-likelihood covariance).
-
-    ``missing`` may be a per-row flag vector or a per-cell mask; statistics
-    are pairwise-complete over cells, so partially observed rows still
-    contribute. The covariance is symmetrized and regularized to be
-    positive definite.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be 2-d (samples x coordinates)")
-    nrows, m = rows.shape
-    if missing is None:
-        present = np.ones((nrows, m), dtype=bool)
-    else:
-        missing = np.asarray(missing, dtype=bool)
-        if missing.shape == (nrows,):
-            present = ~missing[:, None] & np.ones((1, m), dtype=bool)
-        elif missing.shape == rows.shape:
-            present = ~missing
-        else:
-            raise ValueError("missing must be per-row or per-cell")
-
-    usable = int(present.any(axis=1).sum())
-    if usable < 2:
-        raise EstimationError(f"need at least 2 usable rows, got {usable}")
-    col_counts = present.sum(axis=0)
-    if col_counts.min() < 2:
-        j = int(col_counts.argmin())
-        raise EstimationError(f"coordinate {j} has {col_counts[j]} observations, need >= 2")
-
-    filled = np.where(present, rows, 0.0)
-    mean = filled.sum(axis=0) / col_counts
-    centered = np.where(present, rows - mean, 0.0)
-    pair_counts = present.astype(float).T @ present.astype(float)
-    raw = centered.T @ centered
-    with np.errstate(invalid="ignore"):
-        cov = np.where(pair_counts > 0, raw / np.maximum(pair_counts, 1.0), 0.0)
-    cov = regularize_covariance(cov)[0]
-    return GaussianModel(mean=mean, cov=cov, count=usable)
 
 
 def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
@@ -151,6 +81,14 @@ def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     return factors
+
+
+def jittered_factor(cov: np.ndarray, what: str) -> np.ndarray:
+    """Lower factor of one covariance plus the jitter; NumericalError naming ``what`` if none."""
+    chol = jittered_cholesky(cov[None].copy())[0]
+    if np.isnan(chol).any():
+        raise NumericalError(f"{what} is not positive definite after the jitter")
+    return chol
 
 
 def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
@@ -187,7 +125,7 @@ def cholesky(cov: np.ndarray, what: str) -> np.ndarray:
 
 
 def kl_divergence(p: GaussianModel, q: GaussianModel) -> float:
-    """Closed-form KL(p || q); non-negative, with tiny round-off clamped to 0."""
+    """Closed-form KL(p || q) of two models as given (no jitter); tiny round-off clamped to 0."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     l_q = cholesky(q.cov, "q covariance")
@@ -208,8 +146,8 @@ def interval_score(kl, length: int):
 
 
 def sample(model: GaussianModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from a fitted Gaussian (regularizing the covariance if needed)."""
-    l = regularize_covariance(model.cov)[3]
+    """Draw from a Gaussian, its covariance factored with the jitter."""
+    l = jittered_factor(model.cov, "covariance")
     if size is None:
         return model.mean + l @ rng.standard_normal(model.dim)
     return model.mean + rng.standard_normal((size, model.dim)) @ l.T

@@ -6,8 +6,10 @@ import pytest
 from anomattr import (
     AttributionConfig,
     Detection,
+    GaussianModel,
     Injection,
     Interval,
+    LocalRescorer,
     SynthSpec,
     VariableSubset,
     WindowModel,
@@ -19,6 +21,7 @@ from anomattr import (
     univariate_baseline,
     zscore,
 )
+from anomattr import detector
 from anomattr.errors import ConfigError, EstimationError
 
 from conftest import make_series
@@ -126,22 +129,41 @@ class TestAttribute:
             assert means == sorted(means)
 
     def test_failed_subsets_are_contained(self, monkeypatch):
+        """A subset that fails in conditioning (1,), in its sampler's jittered
+        factor (2,) or in a re-score's jittered factor (3,) records its error;
+        every other subset is still scored."""
         series = injected_series(seed=2)
         iv = Interval(600, 660)
         real = WindowModel.conditional
+        real_score = LocalRescorer.score
 
         def flaky(model, subset):
             if tuple(subset) == (1,):
                 raise EstimationError("synthetic failure")
-            return real(model, subset)
+            cond = real(model, subset)
+            if tuple(subset) == (2,):  # indefinite: no jitter makes it factor
+                return GaussianModel(mean=cond.mean, cov=-np.eye(cond.dim))
+            return cond
+
+        def flaky_score(rescorer, columns, block):
+            if tuple(columns) != (3,):
+                return real_score(rescorer, columns, block)
+            with monkeypatch.context() as m:
+                m.setattr(detector, "jittered_cholesky", lambda covs: np.full_like(covs, np.nan))
+                return real_score(rescorer, columns, block)
 
         monkeypatch.setattr(WindowModel, "conditional", flaky)
+        monkeypatch.setattr(LocalRescorer, "score", flaky_score)
         report = attribute(series, detection_for(iv), AttributionConfig(realizations=2, seed=1))
         failed = [s for s in report.subsets if s.subset.indices == (1,)][0]
         assert failed.mean_score is None
         assert "synthetic failure" in failed.error
         assert failed.rank is None
-        others = [s for s in report.subsets if s.subset.indices != (1,)]
+        for indices, message in (((2,), "subset (2,)"), ((3,), "unscorable")):
+            failed = [s for s in report.subsets if s.subset.indices == indices][0]
+            assert failed.mean_score is None and failed.rank is None
+            assert message in failed.error
+        others = [s for s in report.subsets if s.subset.indices not in ((1,), (2,), (3,))]
         assert all(s.mean_score is not None for s in others)
 
     def test_needs_two_variables(self, rng):

@@ -4,6 +4,7 @@ import pytest
 from anomattr import (
     EmbeddingConfig,
     ReplacementWindow,
+    WindowModel,
     apply_replacement,
     Injection,
     Interval,
@@ -13,8 +14,9 @@ from anomattr import (
     generate,
     score_interval,
 )
+from anomattr import detector, gaussian
 from anomattr.detector import LocalRescorer, PrefixScanner
-from anomattr.errors import ConfigError, ScoringError
+from anomattr.errors import ConfigError, NumericalError, ScoringError
 from anomattr.series import embed
 
 import oracles
@@ -166,6 +168,65 @@ class TestLocalRescorer:
         after = (~embed(apply_replacement(series, window, sample), EMB).missing).sum()
         assert after > before
         self.check(series, interval, (0,), EMB, sample)
+
+
+class TestOneFactorization:
+    """Each fitted covariance is factored once, and a covariance that does not
+    factor after the jitter makes its score unscorable rather than repaired."""
+
+    @pytest.fixture
+    def case(self, rng):
+        series, interval = shifted_series(rng, n=300, d=3, a=140, b=170, shift=3.0)
+        block = rng.standard_normal((interval.length, 2))
+        rescorer = LocalRescorer(series, interval, EMB)  # construction factors nothing
+        model = WindowModel.fit(series, interval, EMB.kappa)
+        paths = {
+            "score_interval": lambda: score_interval(series, interval, EMB),
+            "local_rescore": lambda: rescorer.score((0, 2), block),
+            "sampler": lambda: model.sampler((1,)),
+        }
+        return series, interval, paths
+
+    @pytest.mark.parametrize("path", ["score_interval", "local_rescore"])
+    def test_two_factorizations_per_score(self, case, monkeypatch, path):
+        real = np.linalg.cholesky
+        factored = []
+
+        def counting(a):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        case[2][path]()
+        assert sum(factored) == 2
+
+    @pytest.mark.parametrize("path", ["score_interval", "local_rescore", "sampler"])
+    def test_nan_factor_is_a_numerical_error(self, case, monkeypatch, path):
+        def failing(covs):
+            return np.full_like(covs, np.nan)
+
+        monkeypatch.setattr(detector, "jittered_cholesky", failing)
+        monkeypatch.setattr(gaussian, "jittered_cholesky", failing)
+        with pytest.raises(NumericalError):
+            case[2][path]()
+
+    def test_scan_drops_a_candidate_whose_factor_fails(self, case, monkeypatch):
+        series, interval, _ = case
+        scanner = PrefixScanner(embed(series, EMB))
+        starts = np.array([20, interval.a, 200])
+        want = scanner.score_batch(starts, interval.length)
+        assert np.isfinite(want).all()
+        real = detector.jittered_cholesky
+
+        def failing_middle(covs):
+            chol = real(covs)
+            chol[1] = np.nan
+            return chol
+
+        monkeypatch.setattr(detector, "jittered_cholesky", failing_middle)
+        got = scanner.score_batch(starts, interval.length)
+        assert np.isnan(got[1])
+        assert got[[0, 2]].tolist() == want[[0, 2]].tolist()
 
 
 class TestDetect:

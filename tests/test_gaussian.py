@@ -5,15 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from anomattr import GaussianModel, estimate, interval_score, kl_divergence
-from anomattr.errors import EstimationError
-from anomattr.gaussian import (
-    JITTER_FLOOR,
-    jitter_epsilon,
-    jittered_cholesky,
-    kl_from_factors,
-    regularize_covariance,
-)
+from anomattr import GaussianModel, interval_score, kl_divergence
+from anomattr.detector import _moments
+from anomattr.gaussian import JITTER_FLOOR, jitter_epsilon, jittered_cholesky, kl_from_factors
 
 import oracles
 
@@ -22,77 +16,53 @@ def model(mean, cov):
     return GaussianModel(mean=np.atleast_1d(np.asarray(mean, dtype=float)), cov=np.atleast_2d(cov))
 
 
+def fit(rows):
+    """The scorers' fit of complete rows: ML moments, then the jittered factor.
+
+    Returns (mean, jittered covariance, lower factor of that covariance).
+    """
+    mean, cov = _moments(rows)
+    chol = jittered_cholesky(cov[None])[0]  # adds the jitter to cov in place
+    return mean, cov, chol
+
+
 class TestEstimate:
+    """The moments (detector._moments) and the jittered factor every fit goes through."""
+
     def test_constant_rows_give_jittered_identity(self):
         rows = np.tile([3.0, -1.0], (5, 1))
-        g = estimate(rows)
-        assert np.allclose(g.mean, [3.0, -1.0])
-        assert np.allclose(g.cov, JITTER_FLOOR * np.eye(2))
-        assert g.count == 5
+        mean, cov, chol = fit(rows)
+        assert np.allclose(mean, [3.0, -1.0])
+        assert np.allclose(cov, JITTER_FLOOR * np.eye(2))
+        assert np.array_equal(chol, np.linalg.cholesky(cov))
 
     def test_two_point_ml_covariance(self):
-        g = estimate(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        assert np.allclose(g.mean, [1.0, 1.0])
+        mean, cov, _ = fit(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        assert np.allclose(mean, [1.0, 1.0])
         # ML denominator 2; jitter only perturbs the diagonal by ~1e-9
-        assert np.allclose(g.cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-8)
+        assert np.allclose(cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-8)
 
     def test_matches_loop_recomputation(self, rng):
         rows = rng.normal(size=(1000, 5)) @ rng.normal(size=(5, 5)) + rng.normal(size=5)
-        g = estimate(rows)
+        got_mean, got_cov, _ = fit(rows)
         mean, cov = oracles.fit_by_loops(rows)
-        assert np.allclose(g.mean, mean, atol=1e-12)
+        assert np.allclose(got_mean, mean, atol=1e-12)
         # the fitted covariance only differs by the diagonal jitter
-        np.testing.assert_allclose(g.cov, cov, rtol=1e-9, atol=1e-7)
-
-    def test_row_mask_drops_rows(self, rng):
-        rows = rng.normal(size=(50, 3))
-        missing = np.zeros(50, dtype=bool)
-        missing[10:20] = True
-        g = estimate(rows, missing)
-        ref = estimate(rows[~missing])
-        assert np.allclose(g.mean, ref.mean)
-        assert np.allclose(g.cov, ref.cov)
-        assert g.count == 40
-
-    def test_cell_mask_is_pairwise_complete(self, rng):
-        rows = rng.normal(size=(200, 2))
-        missing = np.zeros((200, 2), dtype=bool)
-        missing[:50, 1] = True
-        g = estimate(rows, missing)
-        assert np.isclose(g.mean[0], rows[:, 0].mean())
-        assert np.isclose(g.mean[1], rows[50:, 1].mean())
-
-    def test_too_few_rows(self):
-        with pytest.raises(EstimationError):
-            estimate(np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(got_cov, cov, rtol=1e-9, atol=1e-7)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(40, 3))
-        g1 = estimate(rows)
-        g2 = estimate(rows[rng.permutation(40)])
-        assert np.allclose(g1.mean, g2.mean, atol=1e-12)
-        assert np.allclose(g1.cov, g2.cov, atol=1e-12)
+        mean1, cov1, _ = fit(rows)
+        mean2, cov2, _ = fit(rows[rng.permutation(40)])
+        assert np.allclose(mean1, mean2, atol=1e-12)
+        assert np.allclose(cov1, cov2, atol=1e-12)
 
 
 class TestRegularize:
-    def test_indefinite_matrix_gets_clipped(self):
-        cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        fixed, eps, clipped, chol = regularize_covariance(cov)
-        assert clipped
-        assert np.linalg.eigvalsh(fixed).min() >= eps * (1 - 1e-9)
-        assert np.array_equal(chol, np.linalg.cholesky(fixed))
-
-    def test_pd_matrix_only_jittered(self):
-        cov = np.diag([2.0, 3.0])
-        fixed, eps, clipped, chol = regularize_covariance(cov)
-        assert not clipped
-        assert np.allclose(fixed, cov + eps * np.eye(2))
-        # the returned factor is the one a fresh factorization gives, so
-        # samplers that use it draw exactly what they drew before
-        assert np.array_equal(chol, np.linalg.cholesky(fixed))
+    """The jitter rule (jitter_epsilon) that every factorization applies."""
 
     def test_jitter_of_a_stack_is_per_matrix(self, rng):
         covs = np.stack([oracles.random_gaussian(rng, 3)[1] * s for s in (1e-12, 1.0, 1e4)])
