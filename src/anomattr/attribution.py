@@ -4,7 +4,7 @@ For every candidate variable subset the anomalous interval is rewritten with
 in-distribution replacements and re-scored; subsets whose replacement lowers
 the score the most are the attribution. Each window gets one nominal model
 (:class:`~anomattr.counterfactual.WindowModel`), inverted once and shared by
-every subset: it conditions each subset in precision form, and a
+every subset: it draws each subset's replacements in precision form, and a
 :class:`~anomattr.detector.LocalRescorer` re-scores each draw by refitting
 only the embedded rows the replacement touches. A per-variable histogram
 divergence is included as the univariate baseline for comparison.
@@ -107,6 +107,9 @@ class AttributionReport:
     realizations: int
     max_subset_size: int
     baseline_bins: int
+    #: Realization 0 of the best subset's replacement, (|interval|, |subset|);
+    #: None when no subset was scored. Not part of :meth:`to_dict`.
+    preview: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def best(self) -> SubsetScore:
         """The scored subset with the lowest mean score overall."""
@@ -146,6 +149,11 @@ class AttributionReport:
         }
 
 
+def _seeds(cfg: AttributionConfig, si: int) -> list[np.random.SeedSequence]:
+    """Seeds of the realizations of the subset at position ``si``."""
+    return [np.random.SeedSequence([cfg.seed, si, r]) for r in range(cfg.realizations)]
+
+
 def _score_subset(
     model: WindowModel,
     rescorer: LocalRescorer,
@@ -153,13 +161,8 @@ def _score_subset(
     si: int,
     cfg: AttributionConfig,
 ) -> SubsetScore:
-    draw = model.sampler(subset.indices)
-    scores = np.array(
-        [
-            rescorer.score(subset.indices, draw(np.random.SeedSequence([cfg.seed, si, r])))
-            for r in range(cfg.realizations)
-        ]
-    )
+    blocks = model.draws(subset.indices, _seeds(cfg, si))
+    scores = np.array([rescorer.score(subset.indices, block) for block in blocks])
     return SubsetScore(
         subset=subset,
         mean_score=float(scores.mean()),
@@ -225,7 +228,7 @@ def _attribute_window(
     results = _rank_within_size(results)
 
     baseline = univariate_baseline(series, interval, cfg.baseline_bins)
-    return AttributionReport(
+    report = AttributionReport(
         label=label,
         interval=interval,
         offset=offset,
@@ -240,6 +243,12 @@ def _attribute_window(
         max_subset_size=cap,
         baseline_bins=cfg.baseline_bins,
     )
+    try:
+        best = report.best()
+    except EstimationError:
+        return report
+    si = report.subsets.index(best)
+    return replace(report, preview=model.draws(best.subset.indices, _seeds(cfg, si))[0])
 
 
 def attribute(

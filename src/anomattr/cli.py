@@ -9,8 +9,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .attribution import (
     AttributionConfig,
     AttributionReport,
@@ -19,7 +17,7 @@ from .attribution import (
     pre_event_scores,
 )
 from .config import RunConfig, build_run_config, load_synth_spec
-from .counterfactual import WindowModel, apply_replacement
+from .counterfactual import ReplacementWindow, apply_replacement
 from .detector import Detection, ScanConfig, detect, score_interval
 from .errors import AnomattrError, ConfigError
 from .series import (
@@ -173,21 +171,13 @@ def _write_replacement_preview(
     raw_series: MultivariateSeries,
     zparams,
     report: AttributionReport,
-    cfg: RunConfig,
 ) -> None:
-    """Realization 0 of the best subset, redrawn from the window's nominal model.
-
-    The model is refitted with ``WindowModel.fit`` as in the attribution,
-    and the draw uses the attribution's seed [seed, subset position, 0], so
-    the preview is exactly the first realization that was scored.
-    """
+    """Realization 0 of the best subset, as the attribution drew and scored it."""
     best = report.best()
-    subset_pos = report.subsets.index(best)
-    model = WindowModel.fit(series, report.interval, report.kappa)
-    draw = model.sampler(best.subset.indices)
-    sample = draw(np.random.SeedSequence([cfg.seed, subset_pos, 0]))
-    window = model.window(best.subset.indices)
-    modified = apply_replacement(series, window, sample)
+    window = ReplacementWindow(
+        report.interval, report.kappa, best.subset.indices, series.n, series.d
+    )
+    modified = apply_replacement(series, window, report.preview)
     if zparams is not None:
         modified = inverse_zscore(modified, zparams)
     labels = best.subset.labels(series.names)
@@ -262,7 +252,6 @@ def cmd_attribute(cfg: RunConfig) -> int:
                     raw_series,
                     zparams,
                     reports["detection"],
-                    cfg,
                 )
         print(f"wrote attribution reports for {len(detections)} detection(s) to {out_dir}")
     finally:

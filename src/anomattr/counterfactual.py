@@ -10,8 +10,9 @@ conditional on everything that is kept: the untouched variables inside the
 interval and the full context columns on both sides.
 
 There is one model per window (:class:`WindowModel`): the joint is inverted
-once into its precision, and every subset is conditioned in precision form
-through the precision block of its hidden cells.
+once into its precision, and every subset is conditioned and drawn in
+precision form through one Cholesky factor of the precision block of its
+hidden cells.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .gaussian import GaussianModel, cholesky, jitter_epsilon, jittered_factor
+from .gaussian import GaussianModel, cholesky, jitter_epsilon
 from .series import Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
@@ -251,44 +252,28 @@ def window_observation(
     return values, present
 
 
-def _inverse_lower(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive 2x2 blocking.
-
-    ``np.linalg.inv`` does not use the triangle and runs a full LU solve;
-    inverting [[A, 0], [C, D]] as inv(A), inv(D) and -inv(D) C inv(A) takes
-    about 40% of its time on the 100-150 wide factors of large subsets.
-    """
-    n = lower.shape[0]
-    if n <= 32:
-        return np.linalg.inv(lower)
-    k = n // 2
-    head = _inverse_lower(lower[:k, :k])
-    tail = _inverse_lower(lower[k:, k:])
-    out = np.zeros_like(lower)
-    out[:k, :k] = head
-    out[k:, k:] = tail
-    out[k:, :k] = -tail @ (lower[k:, :k] @ head)
-    return out
-
-
 class WindowModel:
     """The nominal Gaussian of one replacement window, inverted once.
 
     The precision Lambda = Sigma^-1 of the joint over the window is formed
     once, and the evidence residual r = x - mu (zero on absent cells) is
-    pulled through it once. Replacing a subset hides the cells
-    H = Q + A: the replaced coordinates Q and the absent (missing or
-    out-of-series) window cells A. The law of H given every other cell is
+    pulled through it once. Replacing a subset hides the cells H = A + Q:
+    the absent (missing or out-of-series) window cells A, then the replaced
+    coordinates Q. Given every other cell, H is Gaussian with precision
+    Lambda_HH and mean mu_H - Lambda_HH^-1 p, where p = (Lambda r_H0)_H and
+    r_H0 is r with the entries of H zeroed.
 
-        cov_H  = Lambda_HH^-1
-        mean_H = mu_H - Lambda_HH^-1 (Lambda r_H0)_H,
+    Each subset costs one factorization, Lambda_HH = L L'. With Q last, the
+    trailing block L_QQ of L factors the precision of the replaced block, so
+    with y = L^-1 p the replacement law is
 
-    where r_H0 is r with the entries of H zeroed; its Q block is the
-    replacement law. Each subset thus costs one factorization of
-    Lambda_HH (size |H|) instead of one of the evidence block, plus the one
-    jittered factor of its replacement covariance that :meth:`sampler`
-    draws with. The model is read-only after construction and may be shared
-    between threads.
+        cov_Q  = (L_QQ L_QQ')^-1
+        mean_Q = mu_Q - L_QQ'^-1 y_Q,
+
+    and a draw is x_Q = mu_Q + L_QQ'^-1 (z - y_Q) with z standard normal.
+    Neither cov_Q nor an inverse is formed, and no jitter is added: the law
+    is exactly the conditional of the joint. The model is read-only after
+    construction and may be shared between threads.
     """
 
     def __init__(
@@ -344,35 +329,46 @@ class WindowModel:
         """The replacement window of ``subset`` (validated against the cap)."""
         return replace(self.geometry, subset=tuple(subset))
 
-    def conditional(self, subset) -> GaussianModel:
-        """Gaussian law of the replaced block of ``subset`` given everything kept."""
+    def _factor(self, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Replaced indices Q, y_Q and L_QQ of ``subset``; NumericalError if Lambda_HH is not PD."""
         q_idx = np.flatnonzero(self.window(subset).query_mask())
-        hidden = np.concatenate([q_idx, np.setdiff1d(self.absent, q_idx, assume_unique=True)])
-        lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q first, so Lambda_HQ = lam_hh[:, :q]
-        pulled = self.pulled[hidden] - lam_hh[:, : q_idx.size] @ self.residual[q_idx]
-        inv_chol = _inverse_lower(cholesky(lam_hh, "hidden-cell precision"))
-        head = inv_chol[:, : q_idx.size]  # Lambda_HH^-1 = inv_chol' inv_chol, Q columns
-        cov = head.T @ head
-        mean = self.mean[q_idx] - head.T @ (inv_chol @ pulled)
-        return GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+        q = q_idx.size
+        hidden = np.concatenate([np.setdiff1d(self.absent, q_idx, assume_unique=True), q_idx])
+        lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q last, so Lambda_HQ = lam_hh[:, -q:]
+        pulled = self.pulled[hidden] - lam_hh[:, -q:] @ self.residual[q_idx]
+        chol = cholesky(lam_hh, f"hidden-cell precision of subset {tuple(subset)}")
+        y = np.linalg.solve(chol, pulled)
+        return q_idx, y[-q:], chol[-q:, -q:]
 
-    def sampler(self, subset):
-        """Seeded draws of the replaced block of ``subset``, shaped (|interval|, |subset|).
+    def conditional(self, subset) -> tuple[np.ndarray, np.ndarray]:
+        """Mean of the replaced block of ``subset`` given everything kept, and L_QQ.
 
-        The returned function maps anything accepted by
-        ``numpy.random.default_rng`` to one draw; identical seeds reproduce
-        the draw exactly. The conditional covariance is factored once, with
-        the jitter; NumericalError if it does not factor.
+        The covariance of that law is (L_QQ L_QQ')^-1.
         """
-        cond = self.conditional(subset)
-        chol = jittered_factor(cond.cov, f"replacement covariance of subset {tuple(subset)}")
-        shape = (self.geometry.interval.length, len(subset))
+        q_idx, y_q, chol_qq = self._factor(subset)
+        return self.mean[q_idx] - np.linalg.solve(chol_qq.T, y_q), chol_qq
 
-        def draw(seed) -> np.ndarray:
-            rng = np.random.default_rng(seed)
-            return (cond.mean + chol @ rng.standard_normal(cond.dim)).reshape(shape)
+    def realize(self, subset, normals: np.ndarray) -> np.ndarray:
+        """Replacements of ``subset`` from standard normals, shaped (R, |interval|, |subset|).
 
-        return draw
+        Row r of the (R, |Q|) ``normals`` gives x_Q = mu_Q + L_QQ'^-1 (z_r - y_Q);
+        all R rows are solved together in one solve.
+        """
+        q_idx, y_q, chol_qq = self._factor(subset)
+        x = np.linalg.solve(chol_qq.T, normals.T - y_q[:, None]) + self.mean[q_idx, None]
+        return x.T.reshape(len(normals), self.geometry.interval.length, len(subset))
+
+    def draws(self, subset, seeds) -> np.ndarray:
+        """Seeded replacements of ``subset``, one per seed, shaped (R, |interval|, |subset|).
+
+        Realization r maps ``default_rng(seeds[r]).standard_normal(|Q|)``
+        through :meth:`realize`. The same seeds give the same stack exactly;
+        a realization drawn in another stack agrees to round-off.
+        NumericalError if the hidden-cell precision does not factor.
+        """
+        size = self.geometry.interval.length * len(subset)
+        normals = np.stack([np.random.default_rng(seed).standard_normal(size) for seed in seeds])
+        return self.realize(subset, normals)
 
 
 def apply_replacement(

@@ -6,8 +6,12 @@ fitted covariance is factored once, by :func:`jittered_cholesky`, after the
 same scale-aware diagonal jitter (:func:`jitter_epsilon`). A covariance that
 still does not factor gets a NaN factor and its interval is unscorable;
 nothing is repaired here (the one eigenvalue clip in the package is the
-block-Toeplitz assembly's). The divergence of a fitted pair (p, q) is the
-standard non-negative Kullback-Leibler closed form for multivariate normals,
+block-Toeplitz assembly's). The jitter is for fitted covariances and for the
+block-Toeplitz check only: attribution draws its replacements through the
+Cholesky factor of a precision block, unjittered
+(:class:`~anomattr.counterfactual.WindowModel`). The divergence of a fitted
+pair (p, q) is the standard non-negative Kullback-Leibler closed form for
+multivariate normals,
 
     KL(p || q) = 1/2 [ (mu_q-mu_p)' Sq^-1 (mu_q-mu_p) + tr(Sq^-1 Sp)
                        + ln(|Sq|/|Sp|) - m ],
@@ -83,14 +87,6 @@ def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
     return factors
 
 
-def jittered_factor(cov: np.ndarray, what: str) -> np.ndarray:
-    """Lower factor of one covariance plus the jitter; NumericalError naming ``what`` if none."""
-    chol = jittered_cholesky(cov[None].copy())[0]
-    if np.isnan(chol).any():
-        raise NumericalError(f"{what} is not positive definite after the jitter")
-    return chol
-
-
 def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
     """KL(p || q) from means (..., m) and lower Cholesky factors (..., m, m).
 
@@ -143,11 +139,3 @@ def interval_score(kl, length: int):
     if np.any(np.asarray(kl) < 0):
         raise ValueError(f"divergence must be non-negative, got {np.nanmin(kl)}")
     return 2.0 * length * kl
-
-
-def sample(model: GaussianModel, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from a Gaussian, its covariance factored with the jitter."""
-    l = jittered_factor(model.cov, "covariance")
-    if size is None:
-        return model.mean + l @ rng.standard_normal(model.dim)
-    return model.mean + rng.standard_normal((size, model.dim)) @ l.T

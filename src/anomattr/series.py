@@ -74,12 +74,6 @@ class MultivariateSeries:
             missing = self.missing
         return MultivariateSeries(values, missing, self.names, self.start_index)
 
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
 
 @dataclass(frozen=True, order=True)
 class Interval:

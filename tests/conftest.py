@@ -30,6 +30,12 @@ def rng():
     return np.random.default_rng(20240917)
 
 
+def replacement_law(model, subset) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance (L_QQ L_QQ')^-1 of a window model's replacement of ``subset``."""
+    mean, chol = model.conditional(subset)
+    return mean, np.linalg.inv(chol @ chol.T)
+
+
 def make_series(values, missing=None, names=None) -> MultivariateSeries:
     return MultivariateSeries(values=np.asarray(values, dtype=float), missing=missing, names=names)
 

@@ -30,10 +30,9 @@ from anomattr import (
 )
 from anomattr.cli import main
 from anomattr.counterfactual import assemble_joint
-from anomattr.gaussian import sample as gaussian_sample
 
 import oracles
-from conftest import make_series, record_criterion
+from conftest import make_series, record_criterion, replacement_law
 
 EMB = EmbeddingConfig(kappa=3, tau=1)
 
@@ -111,7 +110,8 @@ def test_criterion_2_toeplitz_correctness():
 
 def test_criterion_3_conditional_sampler():
     """Window-model conditioning vs a precision-matrix oracle (1e-8) on 20 random
-    small instances, plus empirical moments from 5e4 draws within 4 SE."""
+    small instances, plus empirical moments within 4 SE of 5e4 draws through
+    the window model's draw map, their normals from one generator."""
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     worst_moment = 0.0
@@ -128,7 +128,8 @@ def test_criterion_3_conditional_sampler():
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
         values, present = window_observation(series, window)
-        cond = WindowModel(joint, window, values, present).conditional(window.subset)
+        model = WindowModel(joint, window, values, present)
+        cond_mean, cond_cov = replacement_law(model, window.subset)
 
         q_idx = np.flatnonzero(window.query_mask())
         e_idx = np.flatnonzero(present.ravel() & ~window.query_mask())
@@ -137,18 +138,19 @@ def test_criterion_3_conditional_sampler():
         )
         worst_moment = max(
             worst_moment,
-            np.abs(cond.mean - want_mean).max(),
-            np.abs(cond.cov - want_cov).max(),
+            np.abs(cond_mean - want_mean).max(),
+            np.abs(cond_cov - want_cov).max(),
         )
 
         n_draws = 50_000
-        draws = gaussian_sample(cond, np.random.default_rng(12), size=n_draws)
-        se_mean = np.sqrt(np.diag(cond.cov) / n_draws)
-        moments_ok &= bool(np.all(np.abs(draws.mean(axis=0) - cond.mean) < 4 * se_mean + 1e-12))
-        emp_cov = np.cov(draws.T, ddof=0).reshape(cond.dim, cond.dim)
-        var = np.diag(cond.cov)
-        se_cov = np.sqrt((np.outer(var, var) + cond.cov**2) / n_draws)
-        moments_ok &= bool(np.all(np.abs(emp_cov - cond.cov) < 4 * se_cov + 1e-12))
+        normals = np.random.default_rng(12).standard_normal((n_draws, q_idx.size))
+        draws = model.realize(window.subset, normals).reshape(n_draws, q_idx.size)
+        se_mean = np.sqrt(np.diag(cond_cov) / n_draws)
+        moments_ok &= bool(np.all(np.abs(draws.mean(axis=0) - cond_mean) < 4 * se_mean + 1e-12))
+        emp_cov = np.cov(draws.T, ddof=0).reshape(q_idx.size, q_idx.size)
+        var = np.diag(cond_cov)
+        se_cov = np.sqrt((np.outer(var, var) + cond_cov**2) / n_draws)
+        moments_ok &= bool(np.all(np.abs(emp_cov - cond_cov) < 4 * se_cov + 1e-12))
     elapsed = time.perf_counter() - start
     passed = worst_moment < 1e-8 and moments_ok and elapsed < 60.0
     record_criterion(

@@ -6,7 +6,6 @@ import pytest
 from anomattr import (
     AttributionConfig,
     Detection,
-    GaussianModel,
     Injection,
     Interval,
     LocalRescorer,
@@ -119,6 +118,21 @@ class TestAttribute:
         assert r1 == r2
         assert all(s.error is None for s in r1.subsets)
 
+    def test_report_carries_realization_zero_of_the_best_subset(self):
+        """The report's preview is realization 0 of its best subset, exactly as
+        drawn in that subset's stack of R realizations; it stays out of the
+        report's dictionary."""
+        series = injected_series(seed=2)
+        iv = Interval(600, 660)
+        cfg = AttributionConfig(realizations=3, seed=1)
+        report = attribute(series, detection_for(iv), cfg)
+        best = report.best()
+        si = report.subsets.index(best)
+        model = WindowModel.fit(series, iv, cfg.embedding.kappa)
+        seeds = [np.random.SeedSequence([1, si, r]) for r in range(3)]
+        assert np.array_equal(report.preview, model.draws(best.subset.indices, seeds)[0])
+        assert "preview" not in report.to_dict()
+
     def test_ranks_are_ascending_in_mean_score(self):
         series = injected_series(seed=2)
         iv = Interval(600, 660)
@@ -129,21 +143,25 @@ class TestAttribute:
             assert means == sorted(means)
 
     def test_failed_subsets_are_contained(self, monkeypatch):
-        """A subset that fails in conditioning (1,), in its sampler's jittered
-        factor (2,) or in a re-score's jittered factor (3,) records its error;
+        """A subset that fails in its draws (1,), in its hidden-cell precision's
+        Cholesky (2,) or in a re-score's jittered factor (3,) records its error;
         every other subset is still scored."""
         series = injected_series(seed=2)
         iv = Interval(600, 660)
-        real = WindowModel.conditional
+        real = WindowModel.draws
         real_score = LocalRescorer.score
 
-        def flaky(model, subset):
+        def refusing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def flaky(model, subset, seeds):
             if tuple(subset) == (1,):
                 raise EstimationError("synthetic failure")
-            cond = real(model, subset)
-            if tuple(subset) == (2,):  # indefinite: no jitter makes it factor
-                return GaussianModel(mean=cond.mean, cov=-np.eye(cond.dim))
-            return cond
+            if tuple(subset) != (2,):
+                return real(model, subset, seeds)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", refusing)
+                return real(model, subset, seeds)
 
         def flaky_score(rescorer, columns, block):
             if tuple(columns) != (3,):
@@ -152,7 +170,7 @@ class TestAttribute:
                 m.setattr(detector, "jittered_cholesky", lambda covs: np.full_like(covs, np.nan))
                 return real_score(rescorer, columns, block)
 
-        monkeypatch.setattr(WindowModel, "conditional", flaky)
+        monkeypatch.setattr(WindowModel, "draws", flaky)
         monkeypatch.setattr(LocalRescorer, "score", flaky_score)
         report = attribute(series, detection_for(iv), AttributionConfig(realizations=2, seed=1))
         failed = [s for s in report.subsets if s.subset.indices == (1,)][0]

@@ -206,9 +206,10 @@ class TestAttribute:
         assert report["interval"] == {"a": 500, "b": 550}
 
     def test_preview_is_realization_zero_of_the_best_subset(self, sim_dir, tmp_path):
-        """The preview redraws realization 0 of the best subset from the window
-        model with seed [seed, subset position, 0]: with one realization, its
-        series re-scores to exactly the subset's reported mean score."""
+        """The preview is realization 0 of the best subset, drawn from the
+        window model with seed [seed, subset position, 0]: with one
+        realization, its series re-scores to exactly the subset's reported
+        mean score."""
         out = tmp_path / "out"
         code = main(
             ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(out),
@@ -221,7 +222,7 @@ class TestAttribute:
         best = report.best()
         pos = report.subsets.index(best)
         model = WindowModel.fit(series, iv, kappa=3)
-        sample = model.sampler(best.subset.indices)(np.random.SeedSequence([5, pos, 0]))
+        (sample,) = model.draws(best.subset.indices, [np.random.SeedSequence([5, pos, 0])])
         modified = apply_replacement(series, model.window(best.subset.indices), sample)
         assert score_interval(modified, iv, EmbeddingConfig()) == pytest.approx(
             best.mean_score, rel=1e-9

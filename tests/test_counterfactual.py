@@ -18,7 +18,7 @@ from anomattr.errors import ConfigError, EstimationError
 from anomattr.gaussian import jitter_epsilon
 
 import oracles
-from conftest import make_series
+from conftest import make_series, replacement_law
 
 
 def ar1_series(rng, n, phi=0.8, d=1):
@@ -198,7 +198,8 @@ class TestConditional:
             joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
             series = make_series(rng.standard_normal((n, d)))
             values, present = window_observation(series, window)
-            cond = WindowModel(joint, window, values, present).conditional(window.subset)
+            model = WindowModel(joint, window, values, present)
+            cond_mean, cond_cov = replacement_law(model, window.subset)
 
             q_mask = window.query_mask()
             q_idx = np.flatnonzero(q_mask)
@@ -206,8 +207,8 @@ class TestConditional:
             want_mean, want_cov = oracles.conditional_by_precision(
                 mean, joint.cov, q_idx, e_idx, values.ravel()[e_idx]
             )
-            np.testing.assert_allclose(cond.mean, want_mean, rtol=1e-8, atol=1e-8)
-            np.testing.assert_allclose(cond.cov, want_cov, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(cond_mean, want_mean, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(cond_cov, want_cov, rtol=1e-8, atol=1e-8)
 
     def test_precision_form_with_absent_cells_matches_oracle(self, rng):
         """Windows with missing cells and context running off either end of the
@@ -228,7 +229,8 @@ class TestConditional:
             missing = rng.random((n, d)) < 0.15
             series = make_series(rng.standard_normal((n, d)), missing=missing)
             values, present = window_observation(series, window)
-            cond = WindowModel(joint, window, values, present).conditional(window.subset)
+            model = WindowModel(joint, window, values, present)
+            cond_mean, cond_cov = replacement_law(model, window.subset)
 
             q_mask = window.query_mask()
             q_idx = np.flatnonzero(q_mask)
@@ -242,8 +244,8 @@ class TestConditional:
                 np.arange(q_idx.size, kept.size),
                 values.ravel()[e_idx],
             )
-            np.testing.assert_allclose(cond.mean, want_mean, rtol=1e-8, atol=1e-8)
-            np.testing.assert_allclose(cond.cov, want_cov, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(cond_mean, want_mean, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(cond_cov, want_cov, rtol=1e-8, atol=1e-8)
         assert checked_absent > 0
 
     def test_one_model_serves_every_subset(self, rng):
@@ -259,10 +261,12 @@ class TestConditional:
         for subset in [(0,), (3,), (1, 2), (0, 3)]:
             window = model.window(subset)
             values, present = window_observation(series, window)
-            want = WindowModel(joint, window, values, present).conditional(window.subset)
-            got = model.conditional(subset)
-            np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(got.cov, want.cov, rtol=1e-12, atol=1e-12)
+            want_mean, want_cov = replacement_law(
+                WindowModel(joint, window, values, present), window.subset
+            )
+            got_mean, got_cov = replacement_law(model, subset)
+            np.testing.assert_allclose(got_mean, want_mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got_cov, want_cov, rtol=1e-12, atol=1e-12)
 
     def test_bivariate_regression_formula(self, rng):
         """d=2, one step, replace variable 0 given variable 1."""
@@ -276,10 +280,11 @@ class TestConditional:
         series = make_series(np.array([[999.0, z]]))  # value of var 0 is irrelevant
         window = ReplacementWindow(Interval(0, 1), kappa=1, subset=(0,), n_times=1, n_vars=2)
         values, present = window_observation(series, window)
-        cond = WindowModel(joint, window, values, present).conditional(window.subset)
+        model = WindowModel(joint, window, values, present)
+        cond_mean, cond_cov = replacement_law(model, window.subset)
         want = mu[0] + rho * (sigma1 / sigma2) * (z - mu[1])
-        assert np.isclose(cond.mean[0], want)
-        assert np.isclose(cond.cov[0, 0], sigma1**2 * (1 - rho**2))
+        assert np.isclose(cond_mean[0], want)
+        assert np.isclose(cond_cov[0, 0], sigma1**2 * (1 - rho**2))
 
     def test_block_diagonal_independence(self, rng):
         """With variables uncorrelated, dropping the other variable's evidence
@@ -296,14 +301,14 @@ class TestConditional:
         window = ReplacementWindow(Interval(10, 12), kappa=2, subset=(0,), n_times=30, n_vars=2)
         v1, p1 = window_observation(series_full, window)
         v2, p2 = window_observation(series_hidden, window)
-        cond_full = WindowModel(joint, window, v1, p1).conditional(window.subset)
-        cond_hidden = WindowModel(joint, window, v2, p2).conditional(window.subset)
-        np.testing.assert_allclose(cond_full.mean, cond_hidden.mean, atol=1e-10)
-        np.testing.assert_allclose(cond_full.cov, cond_hidden.cov, atol=1e-10)
+        full_mean, full_cov = replacement_law(WindowModel(joint, window, v1, p1), window.subset)
+        hidden_mean, hidden_cov = replacement_law(WindowModel(joint, window, v2, p2), window.subset)
+        np.testing.assert_allclose(full_mean, hidden_mean, atol=1e-10)
+        np.testing.assert_allclose(full_cov, hidden_cov, atol=1e-10)
 
     def test_empirical_moments_match(self, rng):
-        """Draws from the sampler reproduce the conditional mean within the
-        Monte-Carlo standard error."""
+        """Seeded draws reproduce the conditional mean within the Monte-Carlo
+        standard error."""
         d, kappa = 2, 2
         window = ReplacementWindow(Interval(5, 8), kappa, (0,), n_times=40, n_vars=d)
         dim = window.length * d
@@ -311,12 +316,12 @@ class TestConditional:
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
         values, present = window_observation(series, window)
-        cond = WindowModel(joint, window, values, present).conditional(window.subset)
+        model = WindowModel(joint, window, values, present)
+        cond_mean, cond_cov = replacement_law(model, window.subset)
         n_draws = 2000
-        draw = WindowModel(joint, window, values, present).sampler(window.subset)
-        draws = np.stack([draw(seed).ravel() for seed in range(n_draws)])
-        se = np.sqrt(np.diag(cond.cov) / n_draws)
-        assert np.all(np.abs(draws.mean(axis=0) - cond.mean) < 4 * se)
+        draws = model.draws(window.subset, range(n_draws)).reshape(n_draws, -1)
+        se = np.sqrt(np.diag(cond_cov) / n_draws)
+        assert np.all(np.abs(draws.mean(axis=0) - cond_mean) < 4 * se)
 
 
 class TestSampling:
@@ -334,13 +339,41 @@ class TestSampling:
 
     def test_seed_determinism_and_distinctness(self, rng):
         _, window, joint, values, present = self._setup(rng)
-        draw = WindowModel(joint, window, values, present).sampler(window.subset)
-        s1 = draw(42)
-        s2 = WindowModel(joint, window, values, present).sampler(window.subset)(42)
-        s3 = draw(43)
+        model = WindowModel(joint, window, values, present)
+        s1, s3 = model.draws(window.subset, [42, 43])
+        s2 = WindowModel(joint, window, values, present).draws(window.subset, [42, 43])[0]
         assert np.array_equal(s1, s2)
         assert not np.array_equal(s1, s3)
         assert s1.shape == (10, 1)
+
+    def test_draws_go_through_the_hidden_cell_factor(self, rng):
+        """Realization r is mu_Q + L_QQ'^-1 (z_r - y_Q): L factors the precision
+        block of the hidden cells (absent cells first, replaced cells last),
+        y = L^-1 p with p = (Lambda r_H0)_H, and z_r are the normals of seed r.
+        Drawn in a stack or alone, it agrees at 1e-12."""
+        _, window, joint, values, present = self._setup(rng)
+        present[1, 1] = present[5, 0] = present[7, 1] = False  # context, replaced, kept
+        model = WindowModel(joint, window, values, present)
+        q_idx = np.flatnonzero(window.query_mask())
+        q = q_idx.size
+        hidden = np.concatenate(
+            [np.setdiff1d(np.flatnonzero(~present.ravel()), q_idx), q_idx]
+        )
+        residual = np.where(present.ravel(), values.ravel() - joint.mean, 0.0)
+        residual[hidden] = 0.0
+        chol = np.linalg.cholesky(model.precision[np.ix_(hidden, hidden)])
+        y_q = np.linalg.solve(chol, (model.precision @ residual)[hidden])[-q:]
+        chol_qq = chol[-q:, -q:]
+        np.testing.assert_allclose(model.conditional(window.subset)[1], chol_qq, rtol=1e-12)
+
+        seeds = [np.random.SeedSequence([3, 0, r]) for r in range(4)]
+        stack = model.draws(window.subset, seeds)
+        assert stack.shape == (4, window.interval.length, 1)
+        for r, seed in enumerate(seeds):
+            z = np.random.default_rng(seed).standard_normal(q)
+            want = joint.mean[q_idx] + np.linalg.solve(chol_qq.T, z - y_q)
+            np.testing.assert_allclose(stack[r].ravel(), want, rtol=1e-12)
+            np.testing.assert_allclose(model.draws(window.subset, [seed])[0], stack[r], rtol=1e-12)
 
     def test_conditioning_smooths_the_seam(self, rng):
         """With strong positive lag-1 correlation the conditional draw connects
@@ -353,9 +386,8 @@ class TestSampling:
         marg_mean = joint.mean[q_idx][0]
         marg_sd = np.sqrt(joint.cov[q_idx[0], q_idx[0]])
         rng2 = np.random.default_rng(77)
-        sampler = WindowModel(joint, window, values, present).sampler(window.subset)
-        for seed in range(1000):
-            draw = sampler(seed)
+        draws = WindowModel(joint, window, values, present).draws(window.subset, range(1000))
+        for draw in draws:
             cond_jumps.append(abs(draw[0, 0] - left_value))
             uncond_jumps.append(abs(marg_mean + marg_sd * rng2.standard_normal() - left_value))
         assert np.mean(cond_jumps) < np.mean(uncond_jumps)

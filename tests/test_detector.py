@@ -14,7 +14,7 @@ from anomattr import (
     generate,
     score_interval,
 )
-from anomattr import detector, gaussian
+from anomattr import detector
 from anomattr.detector import LocalRescorer, PrefixScanner
 from anomattr.errors import ConfigError, NumericalError, ScoringError
 from anomattr.series import embed
@@ -172,7 +172,9 @@ class TestLocalRescorer:
 
 class TestOneFactorization:
     """Each fitted covariance is factored once, and a covariance that does not
-    factor after the jitter makes its score unscorable rather than repaired."""
+    factor after the jitter makes its score unscorable rather than repaired.
+    Each subset's replacements cost one factorization, of the precision block
+    of its hidden cells, and a block that does not factor fails the subset."""
 
     @pytest.fixture
     def case(self, rng):
@@ -183,7 +185,7 @@ class TestOneFactorization:
         paths = {
             "score_interval": lambda: score_interval(series, interval, EMB),
             "local_rescore": lambda: rescorer.score((0, 2), block),
-            "sampler": lambda: model.sampler((1,)),
+            "sampler": lambda: model.draws((1,), [0, 1, 2]),
         }
         return series, interval, paths
 
@@ -200,13 +202,39 @@ class TestOneFactorization:
         case[2][path]()
         assert sum(factored) == 2
 
+    def test_one_factorization_per_subset(self, case, monkeypatch):
+        """R=3 draws of one subset factor one matrix and invert none."""
+        real_cholesky, real_inv = np.linalg.cholesky, np.linalg.inv
+        factored, inverted = [], []
+
+        def counting(a):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return real_cholesky(a)
+
+        def counting_inv(a):
+            inverted.append(a)
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        draws = case[2]["sampler"]()
+        assert draws.shape == (3, case[1].length, 1)
+        assert factored == [1]
+        assert inverted == []
+
     @pytest.mark.parametrize("path", ["score_interval", "local_rescore", "sampler"])
     def test_nan_factor_is_a_numerical_error(self, case, monkeypatch, path):
+        """The scores fail through a NaN jittered factor, the draws through the
+        hidden-cell precision's Cholesky."""
+
         def failing(covs):
             return np.full_like(covs, np.nan)
 
+        def refusing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
         monkeypatch.setattr(detector, "jittered_cholesky", failing)
-        monkeypatch.setattr(gaussian, "jittered_cholesky", failing)
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
         with pytest.raises(NumericalError):
             case[2][path]()
 
