@@ -18,14 +18,12 @@ from .attribution import (
     univariate_baseline,
 )
 from .counterfactual import (
-    ReplacementWindow,
     StationaryCovariance,
     WindowModel,
     apply_replacement,
     assemble_joint,
     estimate_stationary,
     subset_cap,
-    window_observation,
 )
 from .detector import Detection, LocalRescorer, ScanConfig, detect, score_interval
 from .errors import (
@@ -69,7 +67,6 @@ __all__ = [
     "MultivariateSeries",
     "NumericalError",
     "ParseError",
-    "ReplacementWindow",
     "ScanConfig",
     "ScoringError",
     "StationaryCovariance",
@@ -94,7 +91,6 @@ __all__ = [
     "score_interval",
     "subset_cap",
     "univariate_baseline",
-    "window_observation",
     "write_csv",
     "zscore",
 ]

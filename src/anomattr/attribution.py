@@ -6,7 +6,9 @@ the score the most are the attribution. Each window gets one nominal model
 (:class:`~anomattr.counterfactual.WindowModel`), inverted once and shared by
 every subset: it draws each subset's replacements in precision form, and a
 :class:`~anomattr.detector.LocalRescorer` re-scores each draw by refitting
-only the embedded rows the replacement touches. A per-variable histogram
+only the embedded rows the replacement touches. Both are built from the same
+(series, interval, embedding), so the model conditions on exactly the cells
+the re-score reads around the interval. A per-variable histogram
 divergence is included as the univariate baseline for comparison.
 """
 
@@ -19,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .counterfactual import WindowModel, subset_cap
+from .counterfactual import VariableSubset, WindowModel, subset_cap
 from .detector import Detection, LocalRescorer, score_interval
 from .errors import ConfigError, EstimationError, NumericalError, ScoringError
 from .series import EmbeddingConfig, Interval, MultivariateSeries
@@ -28,28 +30,6 @@ log = logging.getLogger(__name__)
 
 #: More variables than this need ``allow_many_variables``: the subset family grows as 2^d.
 MAX_VARIABLES = 20
-
-
-@dataclass(frozen=True)
-class VariableSubset:
-    """A sorted, non-empty set of variable indices to replace together."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if not idx:
-            raise ConfigError("variable subset must be non-empty")
-        if len(set(idx)) != len(idx):
-            raise ConfigError(f"variable subset has duplicates: {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def labels(self, names) -> tuple[str, ...]:
-        return tuple(names[i] for i in self.indices)
 
 
 def enumerate_subsets(d: int, cap: int) -> list[VariableSubset]:
@@ -199,7 +179,7 @@ def _attribute_window(
     interval.validate_within(series.n)
     emb_cfg = cfg.embedding
     original = score_interval(series, interval, emb_cfg)
-    model = WindowModel.fit(series, interval, emb_cfg.kappa)
+    model = WindowModel.fit(series, interval, emb_cfg)
     rescorer = LocalRescorer(series, interval, emb_cfg)
 
     cap = subset_cap(series.d, cfg.max_subset_size)

@@ -17,7 +17,7 @@ from .attribution import (
     pre_event_scores,
 )
 from .config import RunConfig, build_run_config, load_synth_spec
-from .counterfactual import ReplacementWindow, apply_replacement
+from .counterfactual import apply_replacement
 from .detector import Detection, ScanConfig, detect, score_interval
 from .errors import AnomattrError, ConfigError
 from .series import (
@@ -64,6 +64,14 @@ def _load_input(cfg: RunConfig) -> MultivariateSeries:
     if not os.path.exists(cfg.input):
         raise ConfigError(f"input file does not exist: {cfg.input}")
     return load_csv(cfg.input)
+
+
+def _check_within(interval: Interval, series: MultivariateSeries) -> Interval:
+    if interval.b > series.n:
+        raise ConfigError(
+            f"interval [{interval.a}, {interval.b}) exceeds series length {series.n}"
+        )
+    return interval
 
 
 def _prepare_series(cfg: RunConfig) -> tuple[MultivariateSeries, object | None]:
@@ -127,7 +135,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_detections(cfg: RunConfig) -> list[Detection]:
+def _load_detections(cfg: RunConfig, series: MultivariateSeries) -> list[Detection]:
     if cfg.interval is not None:
         return []
     path = cfg.detections or os.path.join(cfg.output_dir, "detections.json")
@@ -138,7 +146,11 @@ def _load_detections(cfg: RunConfig) -> list[Detection]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     return [
-        Detection(interval=Interval(rec["a"], rec["b"]), score=rec["score"], rank=rec["rank"])
+        Detection(
+            interval=_check_within(Interval(rec["a"], rec["b"]), series),
+            score=rec["score"],
+            rank=rec["rank"],
+        )
         for rec in payload["detections"]
     ]
 
@@ -174,10 +186,7 @@ def _write_replacement_preview(
 ) -> None:
     """Realization 0 of the best subset, as the attribution drew and scored it."""
     best = report.best()
-    window = ReplacementWindow(
-        report.interval, report.kappa, best.subset.indices, series.n, series.d
-    )
-    modified = apply_replacement(series, window, report.preview)
+    modified = apply_replacement(series, report.interval, best.subset.indices, report.preview)
     if zparams is not None:
         modified = inverse_zscore(modified, zparams)
     labels = best.subset.labels(series.names)
@@ -214,11 +223,11 @@ def cmd_attribute(cfg: RunConfig) -> int:
             baseline_bins=cfg.bins,
             threads=cfg.threads,
         )
-        detections = _load_detections(cfg)
+        detections = _load_detections(cfg, series)
         if cfg.interval is not None:
             detections = [
                 Detection(
-                    interval=cfg.interval,
+                    interval=_check_within(cfg.interval, series),
                     score=score_interval(series, cfg.interval, emb),
                     rank=1,
                 )
@@ -264,9 +273,9 @@ def cmd_baseline(cfg: RunConfig) -> int:
         raise ConfigError(f"bins must be >= 2, got {cfg.bins}")
     series, _ = _prepare_series(cfg)
     if cfg.interval is not None:
-        interval = cfg.interval
+        interval = _check_within(cfg.interval, series)
     else:
-        detections = _load_detections(cfg)
+        detections = _load_detections(cfg, series)
         if not detections:
             raise ConfigError("baseline needs --interval a:b or a detections file")
         interval = detections[0].interval

@@ -1,13 +1,16 @@
 """In-distribution replacement of variable subsets inside an anomalous interval.
 
-The replacement treats each time step of the interval plus its surrounding
-context as one joint Gaussian over ``d * length`` coordinates. Stationarity
-makes that joint covariance block-Toeplitz, so only the first row of
-lag blocks C_k = cov(x_t, x_{t-k}) has to be estimated (with the anomalous
-interval masked out, so the anomaly cannot contaminate the nominal model).
-New values for the replaced variables are then drawn from the Gaussian
-conditional on everything that is kept: the untouched variables inside the
-interval and the full context columns on both sides.
+The window of an interval [a, b) under an embedding (kappa, tau) is
+[a - (kappa-1)*tau, b + (kappa-1)*tau): the interval and, on each side, the
+cells that a re-score of the interval reads (the delay-embedded rows reach
+back (kappa-1)*tau steps). The replacement treats each time step of the
+window as part of one joint Gaussian over ``d * length`` coordinates.
+Stationarity makes that joint covariance block-Toeplitz, so only the first
+row of lag blocks C_k = cov(x_t, x_{t-k}) has to be estimated (with the
+anomalous interval masked out, so the anomaly cannot contaminate the
+nominal model). New values for the replaced variables are then drawn from
+the Gaussian conditional on everything that is kept: the untouched
+variables inside the interval and the full context on both sides.
 
 There is one model per window (:class:`WindowModel`): the joint is inverted
 once into its precision, and every subset is conditioned and drawn in
@@ -19,13 +22,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .gaussian import GaussianModel, cholesky, jitter_epsilon
-from .series import Interval, MultivariateSeries
+from .series import EmbeddingConfig, Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
 
@@ -61,18 +64,16 @@ class StationaryCovariance:
 
 
 def estimate_stationary(
-    series: MultivariateSeries,
-    mask_interval: Interval,
-    max_lag: int,
-    truncate: bool = False,
+    series: MultivariateSeries, mask_interval: Interval, max_lag: int
 ) -> tuple[StationaryCovariance, np.ndarray]:
     """Estimate lag blocks and the nominal mean with the interval masked out.
 
     All cells inside ``mask_interval`` are treated as missing. Each C_k
     averages (x_t - mu)(x_{t-k} - mu)^T over pairs whose two rows both lie
     outside the mask (and whose cells are observed), which keeps the cost
-    linear in the number of lags. With ``truncate=True`` lags that run out
-    of pairs are dropped (and logged) instead of raising.
+    linear in the number of lags. The blocks stop (logged) at the first lag
+    k >= 1 where some pair of variables has fewer than two such pairs; at
+    lag 0 that is an EstimationError.
     """
     n, d = series.n, series.d
     mask_interval.validate_within(n)
@@ -100,14 +101,12 @@ def estimate_stationary(
     for k in range(max_lag + 1):
         pair_counts = indicator[k:].T @ indicator[: n - k]
         if pair_counts.min() < 2:
-            if truncate:
-                log.warning(
-                    "lag blocks truncated at lag %d (requested %d): too few pairs",
-                    k,
-                    max_lag,
-                )
-                break
-            raise EstimationError(f"too few pairwise-complete pairs at lag {k}")
+            if k == 0:
+                raise EstimationError("too few pairwise-complete pairs at lag 0")
+            log.warning(
+                "lag blocks truncated at lag %d (requested %d): too few pairs", k, max_lag
+            )
+            break
         block = (centered[k:].T @ centered[: n - k]) / pair_counts
         if k == 0:
             block = 0.5 * (block + block.T)
@@ -180,80 +179,36 @@ def subset_cap(d: int, max_subset_size: int | None = None) -> int:
 
 
 @dataclass(frozen=True)
-class ReplacementWindow:
-    """Geometry of one replacement: the interval, its context, and the subset.
+class VariableSubset:
+    """A sorted, non-empty set of variable indices to replace together."""
 
-    The window spans the interval plus ``kappa - 1`` context steps on each
-    side, so its length is ``(b - a) + 2*(kappa - 1)``. Context steps falling
-    outside the series are simply absent (boundary truncation). The replaced
-    subset must leave at least half of the variables untouched.
-    """
-
-    interval: Interval
-    kappa: int
-    subset: tuple[int, ...]
-    n_times: int
-    n_vars: int
+    indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
-        subset = tuple(sorted(int(j) for j in self.subset))
-        if not subset:
-            raise ConfigError("replacement subset must be non-empty")
-        if len(set(subset)) != len(subset):
-            raise ConfigError(f"replacement subset has duplicates: {subset}")
-        if subset[0] < 0 or subset[-1] >= self.n_vars:
-            raise ConfigError(f"subset {subset} out of range for {self.n_vars} variables")
-        cap = subset_cap(self.n_vars)
-        if len(subset) > cap:
-            raise ConfigError(
-                f"subset size {len(subset)} exceeds the cap of {cap} for {self.n_vars} variables"
-            )
-        self.interval.validate_within(self.n_times)
-        object.__setattr__(self, "subset", subset)
+        idx = tuple(sorted(int(i) for i in self.indices))
+        if not idx:
+            raise ConfigError("variable subset must be non-empty")
+        if len(set(idx)) != len(idx):
+            raise ConfigError(f"variable subset has duplicates: {idx}")
+        object.__setattr__(self, "indices", idx)
 
     @property
-    def length(self) -> int:
-        return self.interval.length + 2 * (self.kappa - 1)
+    def size(self) -> int:
+        return len(self.indices)
 
-    @property
-    def start(self) -> int:
-        """First (possibly negative) window time: interval start minus context."""
-        return self.interval.a - (self.kappa - 1)
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.start, self.start + self.length)
-
-    def query_mask(self) -> np.ndarray:
-        """Flat (length*d) mask of the coordinates being replaced (time-major)."""
-        mask = np.zeros((self.length, self.n_vars), dtype=bool)
-        t = self.times()
-        inside = (t >= self.interval.a) & (t < self.interval.b)
-        mask[np.ix_(inside, np.array(self.subset))] = True
-        return mask.ravel()
-
-
-def window_observation(
-    series: MultivariateSeries, window: ReplacementWindow
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window-shaped view of the series: (length, d) values and a present mask.
-
-    Rows for context times outside the series are absent; observed cells are
-    marked present regardless of whether they will be replaced.
-    """
-    values = np.zeros((window.length, series.d))
-    present = np.zeros((window.length, series.d), dtype=bool)
-    t = window.times()
-    in_range = (t >= 0) & (t < series.n)
-    values[in_range] = series.values[t[in_range]]
-    present[in_range] = ~series.missing[t[in_range]]
-    values[~present] = 0.0
-    return values, present
+    def labels(self, names) -> tuple[str, ...]:
+        return tuple(names[i] for i in self.indices)
 
 
 class WindowModel:
-    """The nominal Gaussian of one replacement window, inverted once.
+    """The nominal Gaussian of one attribution window, inverted once.
+
+    The window of ``interval`` = [a, b) is [a - h, b + h) with
+    h = ``cfg.history`` = (kappa-1)*tau: the interval and the cells on each
+    side that :class:`~anomattr.detector.LocalRescorer` reads when it
+    re-scores the interval. Its cells are flattened time-major, so cell
+    (window step i, variable j) is coordinate i*d + j of ``joint``; window
+    steps outside the series are absent.
 
     The precision Lambda = Sigma^-1 of the joint over the window is formed
     once, and the evidence residual r = x - mu (zero on absent cells) is
@@ -279,16 +234,19 @@ class WindowModel:
     def __init__(
         self,
         joint: GaussianModel,
-        window: ReplacementWindow,
-        observed_values: np.ndarray,
-        observed_present: np.ndarray,
+        series: MultivariateSeries,
+        interval: Interval,
+        cfg: EmbeddingConfig,
     ):
-        """``window`` fixes the geometry (interval, context, series size); its
-        subset plays no part."""
-        self.geometry = window
-        dim = window.length * window.n_vars
-        if joint.dim != dim:
-            raise ValueError(f"joint has dimension {joint.dim}, window needs {dim}")
+        interval.validate_within(series.n)
+        self.interval = interval
+        self.d = series.d
+        self.start = interval.a - cfg.history  # first window time, possibly negative
+        self.length = interval.length + 2 * cfg.history
+        if joint.dim != self.length * self.d:
+            raise ValueError(
+                f"joint has dimension {joint.dim}, window needs {self.length * self.d}"
+            )
         # assemble_joint's Cholesky check keeps the joint's eigenvalues above
         # the jitter level, so the inverse exists. A direct inverse,
         # symmetrized in place, holds fewer window-sized buffers at once than
@@ -298,40 +256,56 @@ class WindowModel:
         precision *= 0.5
         self.mean = joint.mean
         self.precision = precision
-        present = observed_present.ravel()
-        self.residual = np.where(present, observed_values.ravel() - self.mean, 0.0)
+        lo, hi = max(self.start, 0), min(self.start + self.length, series.n)
+        values = np.zeros((self.length, self.d))
+        present = np.zeros((self.length, self.d), dtype=bool)
+        values[lo - self.start : hi - self.start] = series.values[lo:hi]
+        present[lo - self.start : hi - self.start] = ~series.missing[lo:hi]
+        present = present.ravel()
+        self.residual = np.where(present, values.ravel() - self.mean, 0.0)
         self.pulled = self.precision @ self.residual
         self.absent = np.flatnonzero(~present)
 
     @classmethod
-    def fit(cls, series: MultivariateSeries, interval: Interval, kappa: int) -> "WindowModel":
+    def fit(
+        cls, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig
+    ) -> "WindowModel":
         """Estimate the nominal model of the window around ``interval``.
 
-        Lag blocks are estimated with the interval masked out; when the
-        series is too short for every lag of the window, the missing lags
-        are zero-filled (logged).
+        Lag blocks are estimated with the interval masked out. Lags the
+        series cannot support (too short, or too few pairs) are zero-filled,
+        with one warning per window.
         """
-        probe = ReplacementWindow(
-            interval=interval, kappa=kappa, subset=(0,), n_times=series.n, n_vars=series.d
-        )
-        lag_budget = min(probe.length - 1, series.n - interval.length - 1)
-        if lag_budget < probe.length - 1:
-            log.warning(
-                "series too short for all %d lags; estimating %d and zero-filling the rest",
-                probe.length - 1,
-                lag_budget,
-            )
-        stat, nominal_mean = estimate_stationary(series, interval, lag_budget, truncate=True)
-        joint = assemble_joint(stat, nominal_mean, probe.length)
-        return cls(joint, probe, *window_observation(series, probe))
+        length = interval.length + 2 * cfg.history
+        lag_budget = min(length - 1, series.n - interval.length - 1)
+        stat, nominal_mean = estimate_stationary(series, interval, lag_budget)
+        if stat.max_lag < lag_budget:
+            # The truncation is logged; zero-filling here keeps it the only warning.
+            pad = ((0, length - 1 - stat.max_lag), (0, 0), (0, 0))
+            stat = StationaryCovariance(np.pad(stat.blocks, pad))
+        return cls(assemble_joint(stat, nominal_mean, length), series, interval, cfg)
 
-    def window(self, subset) -> ReplacementWindow:
-        """The replacement window of ``subset`` (validated against the cap)."""
-        return replace(self.geometry, subset=tuple(subset))
+    def replaced(self, subset) -> np.ndarray:
+        """Flat window indices of the cells ``subset`` replaces, time-major.
+
+        The variables are taken in ascending order. ConfigError unless
+        ``subset`` is non-empty, free of duplicates, within the series' d
+        variables and no larger than :func:`subset_cap` of d.
+        """
+        indices = VariableSubset(subset).indices
+        if indices[0] < 0 or indices[-1] >= self.d:
+            raise ConfigError(f"subset {indices} out of range for {self.d} variables")
+        cap = subset_cap(self.d)
+        if len(indices) > cap:
+            raise ConfigError(
+                f"subset size {len(indices)} exceeds the cap of {cap} for {self.d} variables"
+            )
+        steps = np.arange(self.interval.a, self.interval.b) - self.start
+        return (steps[:, None] * self.d + np.array(indices)).ravel()
 
     def _factor(self, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Replaced indices Q, y_Q and L_QQ of ``subset``; NumericalError if Lambda_HH is not PD."""
-        q_idx = np.flatnonzero(self.window(subset).query_mask())
+        q_idx = self.replaced(subset)
         q = q_idx.size
         hidden = np.concatenate([np.setdiff1d(self.absent, q_idx, assume_unique=True), q_idx])
         lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q last, so Lambda_HQ = lam_hh[:, -q:]
@@ -356,7 +330,7 @@ class WindowModel:
         """
         q_idx, y_q, chol_qq = self._factor(subset)
         x = np.linalg.solve(chol_qq.T, normals.T - y_q[:, None]) + self.mean[q_idx, None]
-        return x.T.reshape(len(normals), self.geometry.interval.length, len(subset))
+        return x.T.reshape(len(normals), self.interval.length, len(subset))
 
     def draws(self, subset, seeds) -> np.ndarray:
         """Seeded replacements of ``subset``, one per seed, shaped (R, |interval|, |subset|).
@@ -366,22 +340,27 @@ class WindowModel:
         a realization drawn in another stack agrees to round-off.
         NumericalError if the hidden-cell precision does not factor.
         """
-        size = self.geometry.interval.length * len(subset)
+        size = self.interval.length * len(subset)
         normals = np.stack([np.random.default_rng(seed).standard_normal(size) for seed in seeds])
         return self.realize(subset, normals)
 
 
 def apply_replacement(
-    series: MultivariateSeries, window: ReplacementWindow, sample: np.ndarray
+    series: MultivariateSeries, interval: Interval, subset, sample: np.ndarray
 ) -> MultivariateSeries:
-    """Overwrite the replaced subset inside the interval; everything else is untouched."""
+    """Write column k of ``sample`` into variable ``subset[k]`` over ``interval``.
+
+    Everything else is untouched; the written cells are no longer missing.
+    """
+    interval.validate_within(series.n)
     sample = np.asarray(sample, dtype=float)
-    expected = (window.interval.length, len(window.subset))
-    if sample.shape != expected:
-        raise ValueError(f"sample shape {sample.shape} does not match {expected}")
+    cols = list(subset)
+    if sample.shape != (interval.length, len(cols)):
+        raise ValueError(
+            f"sample shape {sample.shape} does not match {(interval.length, len(cols))}"
+        )
     values = series.values.copy()
     missing = series.missing.copy()
-    cols = np.array(window.subset)
-    values[window.interval.a : window.interval.b, cols] = sample
-    missing[window.interval.a : window.interval.b, cols] = False
+    values[interval.a : interval.b, cols] = sample
+    missing[interval.a : interval.b, cols] = False
     return series.with_values(values, missing)

@@ -36,6 +36,24 @@ def replacement_law(model, subset) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.linalg.inv(chol @ chol.T)
 
 
+def window_cells(series, interval, cfg, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat values, present mask and replaced-cell mask of the window
+    [a - (kappa-1)*tau, b + (kappa-1)*tau), time-major, by plain indexing.
+
+    Window steps outside the series are absent, with value 0."""
+    history = (cfg.kappa - 1) * cfg.tau
+    times = range(interval.a - history, interval.b + history)
+    values = np.zeros((len(times), series.d))
+    present = np.zeros((len(times), series.d), dtype=bool)
+    for i, t in enumerate(times):
+        if 0 <= t < series.n:
+            present[i] = ~series.missing[t]
+            values[i] = np.where(present[i], series.values[t], 0.0)
+    replaced = np.zeros_like(present)
+    replaced[history : history + interval.length, list(subset)] = True
+    return values.ravel(), present.ravel(), replaced.ravel()
+
+
 def make_series(values, missing=None, names=None) -> MultivariateSeries:
     return MultivariateSeries(values=np.asarray(values, dtype=float), missing=missing, names=names)
 

@@ -15,7 +15,6 @@ from anomattr import (
     GaussianModel,
     Injection,
     Interval,
-    ReplacementWindow,
     ScanConfig,
     SynthSpec,
     WindowModel,
@@ -25,14 +24,13 @@ from anomattr import (
     generate,
     kl_divergence,
     univariate_baseline,
-    window_observation,
     zscore,
 )
 from anomattr.cli import main
 from anomattr.counterfactual import assemble_joint
 
 import oracles
-from conftest import make_series, record_criterion, replacement_law
+from conftest import make_series, record_criterion, replacement_law, window_cells
 
 EMB = EmbeddingConfig(kappa=3, tau=1)
 
@@ -121,20 +119,18 @@ def test_criterion_3_conditional_sampler():
         kappa = int(rng.integers(1, 3))
         core = int(rng.integers(1, 5 - 2 * (kappa - 1)))  # window length <= 4
         a = int(rng.integers(kappa, 20))
-        window = ReplacementWindow(
-            Interval(a, a + core), kappa, (0,), n_times=40, n_vars=d
-        )
-        mean, cov = oracles.random_gaussian(rng, window.length * d)
+        interval, cfg = Interval(a, a + core), EmbeddingConfig(kappa=kappa)
+        mean, cov = oracles.random_gaussian(rng, (core + 2 * (kappa - 1)) * d)
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
-        values, present = window_observation(series, window)
-        model = WindowModel(joint, window, values, present)
-        cond_mean, cond_cov = replacement_law(model, window.subset)
+        model = WindowModel(joint, series, interval, cfg)
+        cond_mean, cond_cov = replacement_law(model, (0,))
 
-        q_idx = np.flatnonzero(window.query_mask())
-        e_idx = np.flatnonzero(present.ravel() & ~window.query_mask())
+        values, present, replaced = window_cells(series, interval, cfg, (0,))
+        q_idx = np.flatnonzero(replaced)
+        e_idx = np.flatnonzero(present & ~replaced)
         want_mean, want_cov = oracles.conditional_by_precision(
-            mean, joint.cov, q_idx, e_idx, values.ravel()[e_idx]
+            mean, joint.cov, q_idx, e_idx, values[e_idx]
         )
         worst_moment = max(
             worst_moment,
@@ -144,7 +140,7 @@ def test_criterion_3_conditional_sampler():
 
         n_draws = 50_000
         normals = np.random.default_rng(12).standard_normal((n_draws, q_idx.size))
-        draws = model.realize(window.subset, normals).reshape(n_draws, q_idx.size)
+        draws = model.realize((0,), normals).reshape(n_draws, q_idx.size)
         se_mean = np.sqrt(np.diag(cond_cov) / n_draws)
         moments_ok &= bool(np.all(np.abs(draws.mean(axis=0) - cond_mean) < 4 * se_mean + 1e-12))
         emp_cov = np.cov(draws.T, ddof=0).reshape(q_idx.size, q_idx.size)

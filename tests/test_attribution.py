@@ -128,7 +128,7 @@ class TestAttribute:
         report = attribute(series, detection_for(iv), cfg)
         best = report.best()
         si = report.subsets.index(best)
-        model = WindowModel.fit(series, iv, cfg.embedding.kappa)
+        model = WindowModel.fit(series, iv, cfg.embedding)
         seeds = [np.random.SeedSequence([1, si, r]) for r in range(3)]
         assert np.array_equal(report.preview, model.draws(best.subset.indices, seeds)[0])
         assert "preview" not in report.to_dict()

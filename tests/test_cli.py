@@ -29,6 +29,15 @@ anomaly = 500:550 vars=temp kind=mean_shift magnitude=4
 """
 
 
+def past_the_end(source, tmp_path) -> list[str]:
+    """Arguments that ask for [890, 950) of the 900-step series, directly or from a file."""
+    if source == "interval":
+        return ["--interval", "890:950"]
+    path = tmp_path / "foreign_detections.json"
+    path.write_text(json.dumps({"detections": [{"a": 890, "b": 950, "score": 1.0, "rank": 1}]}))
+    return ["--detections", str(path)]
+
+
 @pytest.fixture
 def sim_dir(tmp_path):
     spec = tmp_path / "spec.cfg"
@@ -221,9 +230,9 @@ class TestAttribute:
         report = attribute(series, Detection(iv, 0.0, 1), AttributionConfig(realizations=1, seed=5))
         best = report.best()
         pos = report.subsets.index(best)
-        model = WindowModel.fit(series, iv, kappa=3)
+        model = WindowModel.fit(series, iv, EmbeddingConfig())
         (sample,) = model.draws(best.subset.indices, [np.random.SeedSequence([5, pos, 0])])
-        modified = apply_replacement(series, model.window(best.subset.indices), sample)
+        modified = apply_replacement(series, iv, best.subset.indices, sample)
         assert score_interval(modified, iv, EmbeddingConfig()) == pytest.approx(
             best.mean_score, rel=1e-9
         )
@@ -236,6 +245,15 @@ class TestAttribute:
             column = f"{series.names[j]}_counterfactual"
             got = np.array([float(row[column]) for row in rows])
             assert np.array_equal(got, expected.values[:, j])
+
+    @pytest.mark.parametrize("source", ["interval", "detections"])
+    def test_interval_past_the_series_end_exits_2(self, sim_dir, tmp_path, capsys, source):
+        code = main(
+            ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path),
+             *past_the_end(source, tmp_path), "--realizations", "1"]
+        )
+        assert code == 2
+        assert "error: interval [890, 950) exceeds series length 900" in capsys.readouterr().err
 
     def test_malformed_interval_exits_2(self, sim_dir, tmp_path):
         code = main(
@@ -288,6 +306,15 @@ class TestBaseline:
         assert code == 0
         payload = json.loads((out / "baseline.json").read_text())
         assert max(payload["scores"].values()) < 0.05
+
+    @pytest.mark.parametrize("source", ["interval", "detections"])
+    def test_interval_past_the_series_end_exits_2(self, sim_dir, tmp_path, capsys, source):
+        code = main(
+            ["baseline", "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path),
+             *past_the_end(source, tmp_path)]
+        )
+        assert code == 2
+        assert "error: interval [890, 950) exceeds series length 900" in capsys.readouterr().err
 
     def test_single_bin_exits_2(self, sim_dir, tmp_path):
         code = main(

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from anomattr import (
+    EmbeddingConfig,
     GaussianModel,
     Interval,
-    ReplacementWindow,
     StationaryCovariance,
     WindowModel,
     apply_replacement,
     assemble_joint,
     estimate_stationary,
-    window_observation,
 )
 from anomattr.errors import ConfigError, EstimationError
 from anomattr.gaussian import jitter_epsilon
 
 import oracles
-from conftest import make_series, replacement_law
+from conftest import make_series, replacement_law, window_cells
 
 
 def ar1_series(rng, n, phi=0.8, d=1):
@@ -64,14 +63,20 @@ class TestEstimateStationary:
         assert np.allclose(stat.blocks, 0.0)
 
     def test_insufficient_pairs_names_the_lag(self):
-        series = make_series(np.random.default_rng(0).standard_normal((12, 1)))
-        with pytest.raises(EstimationError, match="lag 8"):
-            estimate_stationary(series, Interval(0, 3), max_lag=8)
+        """Two variables never observed together outside the interval have no
+        lag-0 pairs: fitting the window fails, naming lag 0."""
+        values = np.random.default_rng(0).standard_normal((60, 2))
+        missing = np.zeros((60, 2), dtype=bool)
+        missing[:30, 0] = True
+        missing[30:, 1] = True
+        series = make_series(values, missing=missing)
+        with pytest.raises(EstimationError, match="lag 0"):
+            WindowModel.fit(series, Interval(40, 45), EmbeddingConfig())
 
     def test_truncate_stops_and_logs(self, caplog):
         series = make_series(np.random.default_rng(0).standard_normal((12, 1)))
         with caplog.at_level(logging.WARNING):
-            stat, _ = estimate_stationary(series, Interval(0, 3), max_lag=8, truncate=True)
+            stat, _ = estimate_stationary(series, Interval(0, 3), max_lag=8)
         assert stat.max_lag < 8
         assert any("truncated" in rec.message for rec in caplog.records)
 
@@ -154,31 +159,106 @@ class TestAssembleJoint:
         assert any("zero" in rec.message for rec in caplog.records)
 
 
+def identity_model(series, interval, cfg) -> WindowModel:
+    """A window model of ``interval`` over an identity joint."""
+    dim = (interval.length + 2 * cfg.history) * series.d
+    return WindowModel(GaussianModel(mean=np.zeros(dim), cov=np.eye(dim)), series, interval, cfg)
+
+
 class TestReplacementWindow:
-    def test_length_formula(self):
-        w = ReplacementWindow(Interval(10, 20), kappa=3, subset=(0,), n_times=100, n_vars=2)
-        assert w.length == 10 + 2 * 2
-        assert list(w.times()) == list(range(8, 22))
+    """A window model's window of [a, b) is [a - (kappa-1)*tau, b + (kappa-1)*tau)."""
 
-    def test_kappa_one_has_no_context(self):
-        w = ReplacementWindow(Interval(10, 20), kappa=1, subset=(0,), n_times=100, n_vars=2)
-        assert w.length == 10
-        assert w.times()[0] == 10 and w.times()[-1] == 19
+    def test_length_formula(self, rng):
+        series = make_series(rng.standard_normal((100, 2)))
+        model = identity_model(series, Interval(10, 20), EmbeddingConfig(kappa=3))
+        assert model.length == 10 + 2 * 2
+        assert model.start == 8
+        assert model.precision.shape == (2 * 14, 2 * 14)
 
-    def test_subset_cap_enforced(self):
+    def test_kappa_one_has_no_context(self, rng):
+        series = make_series(rng.standard_normal((100, 2)))
+        model = identity_model(series, Interval(10, 20), EmbeddingConfig(kappa=1))
+        assert (model.start, model.length) == (10, 10)
+        assert model.replaced((1,)).tolist() == list(range(1, 20, 2))
+
+    def test_subset_cap_enforced(self, rng):
+        model = identity_model(
+            make_series(rng.standard_normal((50, 4))), Interval(0, 5), EmbeddingConfig(kappa=2)
+        )
         with pytest.raises(ConfigError, match="cap"):
-            ReplacementWindow(Interval(0, 5), kappa=2, subset=(0, 1, 2), n_times=50, n_vars=4)
+            model.replaced((0, 1, 2))
 
-    def test_empty_subset_rejected(self):
+    def test_empty_subset_rejected(self, rng):
+        model = identity_model(
+            make_series(rng.standard_normal((50, 4))), Interval(0, 5), EmbeddingConfig(kappa=2)
+        )
         with pytest.raises(ConfigError):
-            ReplacementWindow(Interval(0, 5), kappa=2, subset=(), n_times=50, n_vars=4)
+            model.replaced(())
+
+    @pytest.mark.parametrize("subset", [(1, 1), (-1,), (4,), (1, 4)])
+    def test_duplicate_or_out_of_range_subset_rejected(self, rng, subset):
+        model = identity_model(
+            make_series(rng.standard_normal((50, 4))), Interval(0, 5), EmbeddingConfig(kappa=2)
+        )
+        with pytest.raises(ConfigError):
+            model.draws(subset, [0])
 
     def test_boundary_context_is_absent(self, rng):
         series = make_series(rng.standard_normal((30, 2)))
-        w = ReplacementWindow(Interval(0, 5), kappa=3, subset=(0,), n_times=30, n_vars=2)
-        values, present = window_observation(series, w)
-        assert not present[:2].any()  # times -2, -1 do not exist
-        assert present[2:].all()
+        cfg = EmbeddingConfig(kappa=3)
+        left = identity_model(series, Interval(0, 5), cfg)
+        assert left.absent.tolist() == [0, 1, 2, 3]  # times -2 and -1 do not exist
+        right = identity_model(series, Interval(25, 30), cfg)
+        assert right.absent.tolist() == list(range(14, 18))  # nor do times 30 and 31
+
+    @pytest.mark.parametrize(
+        "n, interval, kappa",
+        [
+            (12, Interval(0, 3), 5),  # too short for all lags, and lag 8 runs out of pairs
+            (10, Interval(4, 6), 5),  # too short for all lags; every estimated lag has pairs
+        ],
+    )
+    def test_a_shortened_window_warns_once(self, caplog, n, interval, kappa):
+        series = make_series(np.random.default_rng(1).standard_normal((n, 1)))
+        with caplog.at_level(logging.WARNING):
+            model = WindowModel.fit(series, interval, EmbeddingConfig(kappa=kappa))
+        assert model.length == interval.length + 2 * (kappa - 1)
+        assert len([rec for rec in caplog.records if "lag" in rec.message]) == 1
+
+    def test_context_is_what_the_rescore_reads(self, rng):
+        """kappa=3, tau=2: the window is [a - 4, b + 4). The conditional matches
+        the precision oracle on that window, and a kept cell 3 or 4 steps
+        outside the interval moves the replacement law; one 5 steps out does
+        not."""
+        n, d = 60, 2
+        cfg = EmbeddingConfig(kappa=3, tau=2)
+        interval = Interval(20, 23)
+        values = rng.standard_normal((n, d))
+        series = make_series(values)
+        fitted = WindowModel.fit(series, interval, cfg)
+        assert (fitted.start, fitted.length) == (16, 11)
+
+        mean, cov = oracles.random_gaussian(rng, 11 * d)
+        joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+        law = replacement_law(WindowModel(joint, series, interval, cfg), (0,))
+        cells, present, replaced = window_cells(series, interval, cfg, (0,))
+        q_idx = np.flatnonzero(replaced)
+        e_idx = np.flatnonzero(present & ~replaced)
+        want_mean, want_cov = oracles.conditional_by_precision(
+            mean, joint.cov, q_idx, e_idx, cells[e_idx]
+        )
+        np.testing.assert_allclose(law[0], want_mean, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(law[1], want_cov, rtol=1e-8, atol=1e-8)
+
+        def moved_mean(t):
+            moved = values.copy()
+            moved[t, 1] += 3.0
+            return replacement_law(WindowModel(joint, make_series(moved), interval, cfg), (0,))[0]
+
+        for t in (16, 17, 25, 26):  # 4 and 3 steps before a, 3 and 4 steps after b - 1
+            assert np.abs(moved_mean(t) - law[0]).max() > 1e-6
+        for t in (15, 27):  # outside the window
+            assert np.array_equal(moved_mean(t), law[0])
 
 
 class TestConditional:
@@ -192,20 +272,19 @@ class TestConditional:
             a = int(rng.integers(kappa, 20))
             interval = Interval(a, a + ell_core)
             subset = tuple(rng.choice(d, size=max(1, d // 2), replace=False)) if d > 1 else (0,)
-            window = ReplacementWindow(interval, kappa, subset, n_times=n, n_vars=d)
-            dim = window.length * d
+            cfg = EmbeddingConfig(kappa=kappa)
+            dim = (ell_core + 2 * (kappa - 1)) * d
             mean, cov = oracles.random_gaussian(rng, dim)
             joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
             series = make_series(rng.standard_normal((n, d)))
-            values, present = window_observation(series, window)
-            model = WindowModel(joint, window, values, present)
-            cond_mean, cond_cov = replacement_law(model, window.subset)
+            model = WindowModel(joint, series, interval, cfg)
+            cond_mean, cond_cov = replacement_law(model, subset)
 
-            q_mask = window.query_mask()
-            q_idx = np.flatnonzero(q_mask)
-            e_idx = np.flatnonzero(present.ravel() & ~q_mask)
+            values, present, replaced = window_cells(series, interval, cfg, subset)
+            q_idx = np.flatnonzero(replaced)
+            e_idx = np.flatnonzero(present & ~replaced)
             want_mean, want_cov = oracles.conditional_by_precision(
-                mean, joint.cov, q_idx, e_idx, values.ravel()[e_idx]
+                mean, joint.cov, q_idx, e_idx, values[e_idx]
             )
             np.testing.assert_allclose(cond_mean, want_mean, rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(cond_cov, want_cov, rtol=1e-8, atol=1e-8)
@@ -223,46 +302,45 @@ class TestConditional:
             # context off the start, off the end, or inside the series
             a = (0, 1, n - core, n - core - 1, int(rng.integers(3, 20)))[case % 5]
             subset = (int(rng.integers(d)),)
-            window = ReplacementWindow(Interval(a, a + core), kappa, subset, n_times=n, n_vars=d)
-            mean, cov = oracles.random_gaussian(rng, window.length * d)
+            interval = Interval(a, a + core)
+            cfg = EmbeddingConfig(kappa=kappa)
+            mean, cov = oracles.random_gaussian(rng, (core + 2 * (kappa - 1)) * d)
             joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
             missing = rng.random((n, d)) < 0.15
             series = make_series(rng.standard_normal((n, d)), missing=missing)
-            values, present = window_observation(series, window)
-            model = WindowModel(joint, window, values, present)
-            cond_mean, cond_cov = replacement_law(model, window.subset)
+            model = WindowModel(joint, series, interval, cfg)
+            cond_mean, cond_cov = replacement_law(model, subset)
 
-            q_mask = window.query_mask()
-            q_idx = np.flatnonzero(q_mask)
-            e_idx = np.flatnonzero(present.ravel() & ~q_mask)
-            checked_absent += int((~present.ravel() & ~q_mask).sum())
+            values, present, replaced = window_cells(series, interval, cfg, subset)
+            q_idx = np.flatnonzero(replaced)
+            e_idx = np.flatnonzero(present & ~replaced)
+            checked_absent += int((~present & ~replaced).sum())
             kept = np.concatenate([q_idx, e_idx])
             want_mean, want_cov = oracles.conditional_by_precision(
                 mean[kept],
                 joint.cov[np.ix_(kept, kept)],
                 np.arange(q_idx.size),
                 np.arange(q_idx.size, kept.size),
-                values.ravel()[e_idx],
+                values[e_idx],
             )
             np.testing.assert_allclose(cond_mean, want_mean, rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(cond_cov, want_cov, rtol=1e-8, atol=1e-8)
         assert checked_absent > 0
 
     def test_one_model_serves_every_subset(self, rng):
-        """A WindowModel built once gives each subset the same law as a fresh
-        WindowModel built from the same joint for that subset's window."""
+        """A WindowModel fitted once gives each subset the same law as a fresh
+        WindowModel built from the same joint for that subset."""
         n, d = 200, 4
         missing = rng.random((n, d)) < 0.05
         series = make_series(rng.standard_normal((n, d)), missing=missing)
         interval = Interval(1, 12)  # left context runs off the series
-        model = WindowModel.fit(series, interval, kappa=3)
-        stat, mean = estimate_stationary(series, interval, max_lag=model.window((0,)).length - 1)
-        joint = assemble_joint(stat, mean, model.window((0,)).length)
+        cfg = EmbeddingConfig(kappa=3)
+        model = WindowModel.fit(series, interval, cfg)
+        stat, mean = estimate_stationary(series, interval, max_lag=model.length - 1)
+        joint = assemble_joint(stat, mean, model.length)
         for subset in [(0,), (3,), (1, 2), (0, 3)]:
-            window = model.window(subset)
-            values, present = window_observation(series, window)
             want_mean, want_cov = replacement_law(
-                WindowModel(joint, window, values, present), window.subset
+                WindowModel(joint, series, interval, cfg), subset
             )
             got_mean, got_cov = replacement_law(model, subset)
             np.testing.assert_allclose(got_mean, want_mean, rtol=1e-12, atol=1e-12)
@@ -278,10 +356,8 @@ class TestConditional:
         joint = GaussianModel(mean=mu, cov=cov)
         z = 0.3
         series = make_series(np.array([[999.0, z]]))  # value of var 0 is irrelevant
-        window = ReplacementWindow(Interval(0, 1), kappa=1, subset=(0,), n_times=1, n_vars=2)
-        values, present = window_observation(series, window)
-        model = WindowModel(joint, window, values, present)
-        cond_mean, cond_cov = replacement_law(model, window.subset)
+        model = WindowModel(joint, series, Interval(0, 1), EmbeddingConfig(kappa=1))
+        cond_mean, cond_cov = replacement_law(model, (0,))
         want = mu[0] + rho * (sigma1 / sigma2) * (z - mu[1])
         assert np.isclose(cond_mean[0], want)
         assert np.isclose(cond_cov[0, 0], sigma1**2 * (1 - rho**2))
@@ -298,11 +374,11 @@ class TestConditional:
         missing = np.zeros((30, 2), dtype=bool)
         missing[:, 1] = True  # hide variable 1 everywhere
         series_hidden = make_series(hidden, missing=missing)
-        window = ReplacementWindow(Interval(10, 12), kappa=2, subset=(0,), n_times=30, n_vars=2)
-        v1, p1 = window_observation(series_full, window)
-        v2, p2 = window_observation(series_hidden, window)
-        full_mean, full_cov = replacement_law(WindowModel(joint, window, v1, p1), window.subset)
-        hidden_mean, hidden_cov = replacement_law(WindowModel(joint, window, v2, p2), window.subset)
+        interval, cfg = Interval(10, 12), EmbeddingConfig(kappa=2)
+        full_mean, full_cov = replacement_law(WindowModel(joint, series_full, interval, cfg), (0,))
+        hidden_mean, hidden_cov = replacement_law(
+            WindowModel(joint, series_hidden, interval, cfg), (0,)
+        )
         np.testing.assert_allclose(full_mean, hidden_mean, atol=1e-10)
         np.testing.assert_allclose(full_cov, hidden_cov, atol=1e-10)
 
@@ -310,38 +386,38 @@ class TestConditional:
         """Seeded draws reproduce the conditional mean within the Monte-Carlo
         standard error."""
         d, kappa = 2, 2
-        window = ReplacementWindow(Interval(5, 8), kappa, (0,), n_times=40, n_vars=d)
-        dim = window.length * d
+        interval = Interval(5, 8)
+        dim = (interval.length + 2 * (kappa - 1)) * d
         mean, cov = oracles.random_gaussian(rng, dim)
         joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
-        values, present = window_observation(series, window)
-        model = WindowModel(joint, window, values, present)
-        cond_mean, cond_cov = replacement_law(model, window.subset)
+        model = WindowModel(joint, series, interval, EmbeddingConfig(kappa=kappa))
+        cond_mean, cond_cov = replacement_law(model, (0,))
         n_draws = 2000
-        draws = model.draws(window.subset, range(n_draws)).reshape(n_draws, -1)
+        draws = model.draws((0,), range(n_draws)).reshape(n_draws, -1)
         se = np.sqrt(np.diag(cond_cov) / n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - cond_mean) < 4 * se)
 
 
 class TestSampling:
-    def _setup(self, rng, phi=0.0):
+    INTERVAL = Interval(200, 210)
+    CFG = EmbeddingConfig(kappa=3)
+
+    def _setup(self, rng, phi=0.0, missing=None):
         if phi:
             series = ar1_series(rng, 400, phi=phi, d=2)
         else:
-            series = make_series(rng.standard_normal((400, 2)))
-        interval = Interval(200, 210)
-        window = ReplacementWindow(interval, 3, (0,), n_times=400, n_vars=2)
-        stat, mean = estimate_stationary(series, interval, max_lag=window.length - 1)
-        joint = assemble_joint(stat, mean, window.length)
-        values, present = window_observation(series, window)
-        return series, window, joint, values, present
+            series = make_series(rng.standard_normal((400, 2)), missing=missing)
+        length = self.INTERVAL.length + 2 * self.CFG.history
+        stat, mean = estimate_stationary(series, self.INTERVAL, max_lag=length - 1)
+        joint = assemble_joint(stat, mean, length)
+        return series, joint
 
     def test_seed_determinism_and_distinctness(self, rng):
-        _, window, joint, values, present = self._setup(rng)
-        model = WindowModel(joint, window, values, present)
-        s1, s3 = model.draws(window.subset, [42, 43])
-        s2 = WindowModel(joint, window, values, present).draws(window.subset, [42, 43])[0]
+        series, joint = self._setup(rng)
+        model = WindowModel(joint, series, self.INTERVAL, self.CFG)
+        s1, s3 = model.draws((0,), [42, 43])
+        s2 = WindowModel(joint, series, self.INTERVAL, self.CFG).draws((0,), [42, 43])[0]
         assert np.array_equal(s1, s2)
         assert not np.array_equal(s1, s3)
         assert s1.shape == (10, 1)
@@ -351,42 +427,42 @@ class TestSampling:
         block of the hidden cells (absent cells first, replaced cells last),
         y = L^-1 p with p = (Lambda r_H0)_H, and z_r are the normals of seed r.
         Drawn in a stack or alone, it agrees at 1e-12."""
-        _, window, joint, values, present = self._setup(rng)
-        present[1, 1] = present[5, 0] = present[7, 1] = False  # context, replaced, kept
-        model = WindowModel(joint, window, values, present)
-        q_idx = np.flatnonzero(window.query_mask())
+        missing = np.zeros((400, 2), dtype=bool)
+        missing[[199, 203, 205], [1, 0, 1]] = True  # context, replaced, kept
+        series, joint = self._setup(rng, missing=missing)
+        model = WindowModel(joint, series, self.INTERVAL, self.CFG)
+        values, present, replaced = window_cells(series, self.INTERVAL, self.CFG, (0,))
+        q_idx = np.flatnonzero(replaced)
         q = q_idx.size
-        hidden = np.concatenate(
-            [np.setdiff1d(np.flatnonzero(~present.ravel()), q_idx), q_idx]
-        )
-        residual = np.where(present.ravel(), values.ravel() - joint.mean, 0.0)
+        hidden = np.concatenate([np.setdiff1d(np.flatnonzero(~present), q_idx), q_idx])
+        residual = np.where(present, values - joint.mean, 0.0)
         residual[hidden] = 0.0
         chol = np.linalg.cholesky(model.precision[np.ix_(hidden, hidden)])
         y_q = np.linalg.solve(chol, (model.precision @ residual)[hidden])[-q:]
         chol_qq = chol[-q:, -q:]
-        np.testing.assert_allclose(model.conditional(window.subset)[1], chol_qq, rtol=1e-12)
+        np.testing.assert_allclose(model.conditional((0,))[1], chol_qq, rtol=1e-12)
 
         seeds = [np.random.SeedSequence([3, 0, r]) for r in range(4)]
-        stack = model.draws(window.subset, seeds)
-        assert stack.shape == (4, window.interval.length, 1)
+        stack = model.draws((0,), seeds)
+        assert stack.shape == (4, self.INTERVAL.length, 1)
         for r, seed in enumerate(seeds):
             z = np.random.default_rng(seed).standard_normal(q)
             want = joint.mean[q_idx] + np.linalg.solve(chol_qq.T, z - y_q)
             np.testing.assert_allclose(stack[r].ravel(), want, rtol=1e-12)
-            np.testing.assert_allclose(model.draws(window.subset, [seed])[0], stack[r], rtol=1e-12)
+            np.testing.assert_allclose(model.draws((0,), [seed])[0], stack[r], rtol=1e-12)
 
     def test_conditioning_smooths_the_seam(self, rng):
         """With strong positive lag-1 correlation the conditional draw connects
         to the left context much better than an unconditional one."""
-        series, window, joint, values, present = self._setup(rng, phi=0.9)
-        a = window.interval.a
+        series, joint = self._setup(rng, phi=0.9)
+        a = self.INTERVAL.a
         left_value = series.values[a - 1, 0]
-        q_idx = np.flatnonzero(window.query_mask())
+        q_idx = np.flatnonzero(window_cells(series, self.INTERVAL, self.CFG, (0,))[2])
         cond_jumps, uncond_jumps = [], []
         marg_mean = joint.mean[q_idx][0]
         marg_sd = np.sqrt(joint.cov[q_idx[0], q_idx[0]])
         rng2 = np.random.default_rng(77)
-        draws = WindowModel(joint, window, values, present).draws(window.subset, range(1000))
+        draws = WindowModel(joint, series, self.INTERVAL, self.CFG).draws((0,), range(1000))
         for draw in draws:
             cond_jumps.append(abs(draw[0, 0] - left_value))
             uncond_jumps.append(abs(marg_mean + marg_sd * rng2.standard_normal() - left_value))
@@ -396,14 +472,12 @@ class TestSampling:
 class TestApplyReplacement:
     def test_identity_replacement(self, rng):
         series = make_series(rng.standard_normal((50, 3)))
-        window = ReplacementWindow(Interval(10, 20), 3, (1,), n_times=50, n_vars=3)
-        out = apply_replacement(series, window, series.values[10:20, [1]])
+        out = apply_replacement(series, Interval(10, 20), (1,), series.values[10:20, [1]])
         assert np.array_equal(out.values, series.values)
 
     def test_locality(self, rng):
         series = make_series(rng.standard_normal((50, 3)))
-        window = ReplacementWindow(Interval(10, 20), 3, (0, 1), n_times=50, n_vars=3)
-        out = apply_replacement(series, window, np.zeros((10, 2)))
+        out = apply_replacement(series, Interval(10, 20), (0, 1), np.zeros((10, 2)))
         touched = np.zeros((50, 3), dtype=bool)
         touched[10:20, [0, 1]] = True
         assert np.array_equal(out.values[~touched], series.values[~touched])
@@ -415,13 +489,11 @@ class TestApplyReplacement:
         missing[12, 0] = True
         missing[30, 1] = True
         series = make_series(values, missing=missing)
-        window = ReplacementWindow(Interval(10, 20), 2, (0,), n_times=50, n_vars=2)
-        out = apply_replacement(series, window, np.ones((10, 1)))
+        out = apply_replacement(series, Interval(10, 20), (0,), np.ones((10, 1)))
         assert not out.missing[12, 0]
         assert out.missing[30, 1]
 
     def test_shape_mismatch_rejected(self, rng):
         series = make_series(rng.standard_normal((50, 2)))
-        window = ReplacementWindow(Interval(10, 20), 2, (0,), n_times=50, n_vars=2)
         with pytest.raises(ValueError):
-            apply_replacement(series, window, np.zeros((9, 1)))
+            apply_replacement(series, Interval(10, 20), (0,), np.zeros((9, 1)))

@@ -3,7 +3,6 @@ import pytest
 
 from anomattr import (
     EmbeddingConfig,
-    ReplacementWindow,
     WindowModel,
     apply_replacement,
     Injection,
@@ -134,8 +133,7 @@ class TestLocalRescorer:
 
     @staticmethod
     def check(series, interval, subset, cfg, sample):
-        window = ReplacementWindow(interval, cfg.kappa, subset, series.n, series.d)
-        want = score_interval(apply_replacement(series, window, sample), interval, cfg)
+        want = score_interval(apply_replacement(series, interval, subset, sample), interval, cfg)
         got = LocalRescorer(series, interval, cfg).score(subset, sample)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -163,9 +161,8 @@ class TestLocalRescorer:
         series = make_series(rng.standard_normal((n, d)), missing=missing)
         interval = Interval(120, 150)
         sample = rng.standard_normal((interval.length, 1))
-        window = ReplacementWindow(interval, EMB.kappa, (0,), n, d)
         before = (~embed(series, EMB).missing).sum()
-        after = (~embed(apply_replacement(series, window, sample), EMB).missing).sum()
+        after = (~embed(apply_replacement(series, interval, (0,), sample), EMB).missing).sum()
         assert after > before
         self.check(series, interval, (0,), EMB, sample)
 
@@ -181,7 +178,7 @@ class TestOneFactorization:
         series, interval = shifted_series(rng, n=300, d=3, a=140, b=170, shift=3.0)
         block = rng.standard_normal((interval.length, 2))
         rescorer = LocalRescorer(series, interval, EMB)  # construction factors nothing
-        model = WindowModel.fit(series, interval, EMB.kappa)
+        model = WindowModel.fit(series, interval, EMB)
         paths = {
             "score_interval": lambda: score_interval(series, interval, EMB),
             "local_rescore": lambda: rescorer.score((0, 2), block),
