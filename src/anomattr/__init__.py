@@ -18,7 +18,6 @@ from .attribution import (
     univariate_baseline,
 )
 from .counterfactual import (
-    StationaryCovariance,
     WindowModel,
     apply_replacement,
     assemble_joint,
@@ -34,7 +33,7 @@ from .errors import (
     ParseError,
     ScoringError,
 )
-from .gaussian import GaussianModel, interval_score, kl_divergence
+from .gaussian import interval_score
 from .series import (
     Embedding,
     EmbeddingConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "Embedding",
     "EmbeddingConfig",
     "EstimationError",
-    "GaussianModel",
     "Injection",
     "Interval",
     "LocalRescorer",
@@ -69,7 +67,6 @@ __all__ = [
     "ParseError",
     "ScanConfig",
     "ScoringError",
-    "StationaryCovariance",
     "SubsetScore",
     "SynthSpec",
     "VariableSubset",
@@ -85,7 +82,6 @@ __all__ = [
     "generate",
     "interval_score",
     "inverse_zscore",
-    "kl_divergence",
     "load_csv",
     "pre_event_scores",
     "score_interval",

@@ -56,6 +56,10 @@ class AttributionConfig:
             raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.max_subset_size is not None and self.max_subset_size < 1:
+            raise ConfigError(f"max_subset_size must be >= 1, got {self.max_subset_size}")
+        if self.baseline_bins < 2:
+            raise ConfigError(f"bins must be >= 2, got {self.baseline_bins}")
 
 
 @dataclass(frozen=True)

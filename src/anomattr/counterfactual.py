@@ -8,83 +8,54 @@ window as part of one joint Gaussian over ``d * length`` coordinates.
 Stationarity makes that joint covariance block-Toeplitz, so only the first
 row of lag blocks C_k = cov(x_t, x_{t-k}) has to be estimated (with the
 anomalous interval masked out, so the anomaly cannot contaminate the
-nominal model). New values for the replaced variables are then drawn from
-the Gaussian conditional on everything that is kept: the untouched
-variables inside the interval and the full context on both sides.
+nominal model). Every lag is scaled by the same per-variable counts (the
+biased autocovariance estimator), so the joint is positive semi-definite by
+construction for any window length and any missing cells; it gets the one
+diagonal jitter and is never repaired. New values for the replaced
+variables are then drawn from the Gaussian conditional on everything that
+is kept: the untouched variables inside the interval and the full context
+on both sides.
 
-There is one model per window (:class:`WindowModel`): the joint is inverted
-once into its precision, and every subset is conditioned and drawn in
-precision form through one Cholesky factor of the precision block of its
-hidden cells.
+There is one model per window (:class:`WindowModel`): the joint is checked
+positive definite by one Cholesky factorization and inverted once into its
+precision, and every subset is conditioned and drawn in precision form
+through one Cholesky factor of the precision block of its hidden cells.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .gaussian import GaussianModel, cholesky, jitter_epsilon
+from .gaussian import cholesky, jitter_epsilon
 from .series import EmbeddingConfig, Interval, MultivariateSeries
-
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class StationaryCovariance:
-    """Lag-indexed cross-covariance blocks C_0 ... C_{max_lag} of a stationary process.
-
-    C_k estimates cov(x_t, x_{t-k}); together the blocks generate the
-    symmetric block-Toeplitz joint covariance of any run of consecutive
-    steps (block (i, j) = C_{i-j} for i >= j, C_{j-i}^T otherwise).
-    """
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=float)
-        if blocks.ndim != 3 or blocks.shape[0] < 1 or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must be a (lags, d, d) stack")
-        c0 = blocks[0]
-        if np.abs(c0 - c0.T).max() > 1e-10 * max(1.0, np.abs(c0).max()):
-            raise ValueError("lag-0 block must be symmetric")
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def d(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def max_lag(self) -> int:
-        return self.blocks.shape[0] - 1
 
 
 def estimate_stationary(
     series: MultivariateSeries, mask_interval: Interval, max_lag: int
-) -> tuple[StationaryCovariance, np.ndarray]:
-    """Estimate lag blocks and the nominal mean with the interval masked out.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate lag blocks C_0 ... C_{max_lag} and the nominal mean with the interval masked out.
 
-    All cells inside ``mask_interval`` are treated as missing. Each C_k
-    averages (x_t - mu)(x_{t-k} - mu)^T over pairs whose two rows both lie
-    outside the mask (and whose cells are observed), which keeps the cost
-    linear in the number of lags. The blocks stop (logged) at the first lag
-    k >= 1 where some pair of variables has fewer than two such pairs; at
-    lag 0 that is an EstimationError.
+    All cells inside ``mask_interval`` are treated as missing. With c the
+    series centered on the nominal mean and zero on missing cells, and n_j
+    the number of observed cells of variable j,
+
+        C_k = D (sum_t c_t c_{t-k}') D,   D = diag(1 / sqrt(n_j)),
+
+    so every lag is scaled alike (the biased autocovariance estimator) and a
+    lag with no pairs, in particular any lag at or beyond n, is zero. The
+    blocks come back as a ``(max_lag + 1, d, d)`` array. EstimationError if
+    a variable has fewer than two observed cells.
     """
-    n, d = series.n, series.d
+    n = series.n
     mask_interval.validate_within(n)
     if max_lag < 0:
         raise ConfigError(f"max_lag must be >= 0, got {max_lag}")
-    if max_lag >= n - mask_interval.length:
-        raise ConfigError(
-            f"max_lag {max_lag} too large for {n - mask_interval.length} unmasked rows"
-        )
 
-    present = ~series.missing.copy()
+    present = ~series.missing
     present[mask_interval.a : mask_interval.b, :] = False
     counts = present.sum(axis=0)
     if counts.min() < 2:
@@ -92,90 +63,50 @@ def estimate_stationary(
         raise EstimationError(
             f"variable {series.names[j]!r} has {counts[j]} observations outside the mask"
         )
-    filled = np.where(present, series.values, 0.0)
-    mean = filled.sum(axis=0) / counts
-    centered = np.where(present, series.values - mean, 0.0)
-    indicator = present.astype(float)
+    mean = np.where(present, series.values, 0.0).sum(axis=0) / counts
+    scaled = np.where(present, series.values - mean, 0.0) / np.sqrt(counts)  # c D
 
-    blocks = []
-    for k in range(max_lag + 1):
-        pair_counts = indicator[k:].T @ indicator[: n - k]
-        if pair_counts.min() < 2:
-            if k == 0:
-                raise EstimationError("too few pairwise-complete pairs at lag 0")
-            log.warning(
-                "lag blocks truncated at lag %d (requested %d): too few pairs", k, max_lag
-            )
-            break
-        block = (centered[k:].T @ centered[: n - k]) / pair_counts
-        if k == 0:
-            block = 0.5 * (block + block.T)
-        blocks.append(block)
-    return StationaryCovariance(np.array(blocks)), mean
+    blocks = np.zeros((max_lag + 1, series.d, series.d))
+    for k in range(min(max_lag + 1, n)):
+        blocks[k] = scaled[k:].T @ scaled[: n - k]
+    blocks[0] = 0.5 * (blocks[0] + blocks[0].T)
+    return blocks, mean
 
 
-def _above_jitter(cov: np.ndarray, eps: float) -> bool:
-    """Whether every eigenvalue of ``cov`` exceeds ``eps``: a Cholesky of cov - eps*I succeeds."""
-    shifted = cov.copy()
-    shifted.flat[:: cov.shape[0] + 1] -= eps
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def assemble_joint(blocks: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand lag blocks C_0 ... C_{L-1} into the joint Gaussian over L consecutive steps.
 
-
-def assemble_joint(stat: StationaryCovariance, mean: np.ndarray, length: int) -> GaussianModel:
-    """Expand lag blocks into the joint Gaussian over ``length`` consecutive steps.
-
-    The mean is the nominal per-variable mean tiled once per step. Blocks
-    beyond the last estimated lag are taken as zero (logged). A finite-sample
-    block-Toeplitz assembly need not be PSD: when a Cholesky factorization of
-    ``cov - eps*I`` fails (smallest eigenvalue at or below the jitter level
-    eps), eigenvalues are clipped at eps and the repair magnitude is logged.
+    Block (i, j) of the covariance is C_{i-j} for i >= j and C_{j-i}' otherwise,
+    and the nominal per-variable mean is tiled once per step. The blocks of
+    :func:`estimate_stationary` make this block-Toeplitz matrix positive
+    semi-definite by construction: it is (I kron D) Z'Z (I kron D), with Z the
+    stacked, zero-padded lagged copies of c. The one jitter,
+    :func:`~anomattr.gaussian.jitter_epsilon` of the joint, is added to its
+    diagonal, and nothing else is repaired. Returns ``(mean, cov)``.
     """
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 3 or blocks.shape[0] < 1 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError("blocks must be a (lags, d, d) stack")
+    length, d, _ = blocks.shape
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    d = stat.d
     if mean.size != d:
         raise ValueError(f"mean has size {mean.size}, blocks are {d}x{d}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if length - 1 > stat.max_lag:
-        log.warning(
-            "joint over %d steps but blocks stop at lag %d: missing lags set to zero",
-            length,
-            stat.max_lag,
-        )
     dim = d * length
     cov = np.zeros((length, d, length, d))  # cov[i, :, j, :] is block (i, j)
-    for k in range(min(length, stat.max_lag + 1)):
+    for k in range(length):
         steps = np.arange(k, length)
-        cov[steps, :, steps - k, :] = stat.blocks[k]
+        cov[steps, :, steps - k, :] = blocks[k]
         if k:
-            cov[steps - k, :, steps, :] = stat.blocks[k].T
+            cov[steps - k, :, steps, :] = blocks[k].T
     cov = cov.reshape(dim, dim)
-
-    eps = jitter_epsilon(cov)
-    if not _above_jitter(cov, eps):
-        w, v = np.linalg.eigh(cov)
-        repaired = (v * np.maximum(w, eps)) @ v.T
-        cov = 0.5 * (repaired + repaired.T)
-        log.warning(
-            "block-Toeplitz joint repaired: eigenvalues clipped at %.3g (min was %.3g)",
-            eps,
-            w.min(),
-        )
-    return GaussianModel(mean=np.tile(mean, length), cov=cov)
+    cov.flat[:: dim + 1] += jitter_epsilon(cov)
+    return np.tile(mean, length), cov
 
 
 def subset_cap(d: int, max_subset_size: int | None = None) -> int:
     """Largest subset size considered: ceil(d/2), optionally tightened."""
     cap = math.ceil(d / 2)
-    if max_subset_size is not None:
-        if max_subset_size < 1:
-            raise ConfigError(f"max_subset_size must be >= 1, got {max_subset_size}")
-        cap = min(cap, max_subset_size)
-    return cap
+    return cap if max_subset_size is None else min(cap, max_subset_size)
 
 
 @dataclass(frozen=True)
@@ -207,12 +138,13 @@ class WindowModel:
     h = ``cfg.history`` = (kappa-1)*tau: the interval and the cells on each
     side that :class:`~anomattr.detector.LocalRescorer` reads when it
     re-scores the interval. Its cells are flattened time-major, so cell
-    (window step i, variable j) is coordinate i*d + j of ``joint``; window
-    steps outside the series are absent.
+    (window step i, variable j) is coordinate i*d + j of the joint
+    (``mean``, ``cov``); window steps outside the series are absent.
 
-    The precision Lambda = Sigma^-1 of the joint over the window is formed
-    once, and the evidence residual r = x - mu (zero on absent cells) is
-    pulled through it once. Replacing a subset hides the cells H = A + Q:
+    NumericalError unless ``cov`` is positive definite. The precision
+    Lambda = Sigma^-1 of the joint over the window is formed once, and the
+    evidence residual r = x - mu (zero on absent cells) is pulled through it
+    once. Replacing a subset hides the cells H = A + Q:
     the absent (missing or out-of-series) window cells A, then the replaced
     coordinates Q. Given every other cell, H is Gaussian with precision
     Lambda_HH and mean mu_H - Lambda_HH^-1 p, where p = (Lambda r_H0)_H and
@@ -233,7 +165,8 @@ class WindowModel:
 
     def __init__(
         self,
-        joint: GaussianModel,
+        mean: np.ndarray,
+        cov: np.ndarray,
         series: MultivariateSeries,
         interval: Interval,
         cfg: EmbeddingConfig,
@@ -243,18 +176,23 @@ class WindowModel:
         self.d = series.d
         self.start = interval.a - cfg.history  # first window time, possibly negative
         self.length = interval.length + 2 * cfg.history
-        if joint.dim != self.length * self.d:
+        dim = self.length * self.d
+        mean = np.asarray(mean, dtype=float).reshape(-1)
+        cov = np.asarray(cov, dtype=float)
+        if mean.size != dim or cov.shape != (dim, dim):
             raise ValueError(
-                f"joint has dimension {joint.dim}, window needs {self.length * self.d}"
+                f"joint has mean {mean.shape} and covariance {cov.shape}, window needs {dim}"
             )
-        # assemble_joint's Cholesky check keeps the joint's eigenvalues above
-        # the jitter level, so the inverse exists. A direct inverse,
-        # symmetrized in place, holds fewer window-sized buffers at once than
-        # a Cholesky followed by the inverse of its factor.
-        precision = np.linalg.inv(joint.cov)
+        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
+            raise ValueError("joint covariance is not symmetric")
+        # The one check that the joint is positive definite. The inverse is
+        # then taken directly and symmetrized in place: that holds fewer
+        # window-sized buffers at once than an inverse formed from the factor.
+        cholesky(cov, "nominal joint of the window")
+        precision = np.linalg.inv(cov)
         precision += precision.T  # numpy buffers the overlapping operand
         precision *= 0.5
-        self.mean = joint.mean
+        self.mean = mean
         self.precision = precision
         lo, hi = max(self.start, 0), min(self.start + self.length, series.n)
         values = np.zeros((self.length, self.d))
@@ -272,18 +210,12 @@ class WindowModel:
     ) -> "WindowModel":
         """Estimate the nominal model of the window around ``interval``.
 
-        Lag blocks are estimated with the interval masked out. Lags the
-        series cannot support (too short, or too few pairs) are zero-filled,
-        with one warning per window.
+        Lag blocks up to the window length are estimated with the interval
+        masked out; lags the series cannot support are zero.
         """
         length = interval.length + 2 * cfg.history
-        lag_budget = min(length - 1, series.n - interval.length - 1)
-        stat, nominal_mean = estimate_stationary(series, interval, lag_budget)
-        if stat.max_lag < lag_budget:
-            # The truncation is logged; zero-filling here keeps it the only warning.
-            pad = ((0, length - 1 - stat.max_lag), (0, 0), (0, 0))
-            stat = StationaryCovariance(np.pad(stat.blocks, pad))
-        return cls(assemble_joint(stat, nominal_mean, length), series, interval, cfg)
+        mean, cov = assemble_joint(*estimate_stationary(series, interval, length - 1))
+        return cls(mean, cov, series, interval, cfg)
 
     def replaced(self, subset) -> np.ndarray:
         """Flat window indices of the cells ``subset`` replaces, time-major.

@@ -5,10 +5,10 @@ the naive interval score and the local re-score all go through it. Every
 fitted covariance is factored once, by :func:`jittered_cholesky`, after the
 same scale-aware diagonal jitter (:func:`jitter_epsilon`). A covariance that
 still does not factor gets a NaN factor and its interval is unscorable;
-nothing is repaired here (the one eigenvalue clip in the package is the
-block-Toeplitz assembly's). The jitter is for fitted covariances and for the
-block-Toeplitz check only: attribution draws its replacements through the
-Cholesky factor of a precision block, unjittered
+no covariance is repaired anywhere in the package. The same jitter is added
+once to the diagonal of the block-Toeplitz nominal joint
+(:func:`~anomattr.counterfactual.assemble_joint`); attribution draws its
+replacements through the Cholesky factor of a precision block, unjittered
 (:class:`~anomattr.counterfactual.WindowModel`). The divergence of a fitted
 pair (p, q) is the standard non-negative Kullback-Leibler closed form for
 multivariate normals,
@@ -23,8 +23,6 @@ evaluated from the Cholesky factors of Sp and Sq, for one pair or a stack
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
@@ -37,31 +35,6 @@ def jitter_epsilon(cov: np.ndarray):
     """Scale-aware jitter: max(floor, floor * mean diagonal magnitude), per matrix of a stack."""
     trace = np.trace(cov, axis1=-2, axis2=-1)
     return np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / cov.shape[-1])
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    """Mean vector and symmetric covariance matrix of a Gaussian."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.cov, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match mean size {mean.size}")
-        asym = np.abs(cov - cov.T).max() if cov.size else 0.0
-        if asym > 1e-12 * max(1.0, np.abs(cov).max()):
-            raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3g})")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
 
 def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
@@ -118,17 +91,6 @@ def cholesky(cov: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise NumericalError(f"{what} is not positive definite") from None
-
-
-def kl_divergence(p: GaussianModel, q: GaussianModel) -> float:
-    """Closed-form KL(p || q) of two models as given (no jitter); tiny round-off clamped to 0."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    l_q = cholesky(q.cov, "q covariance")
-    value = float(kl_from_factors(p.mean, cholesky(p.cov, "p covariance"), q.mean, l_q))
-    if value < -1e-6:
-        raise NumericalError(f"divergence evaluated to {value:.3g}; factorization unreliable")
-    return max(0.0, value)
 
 
 def interval_score(kl, length: int):

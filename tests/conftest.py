@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from anomattr import Interval, MultivariateSeries
+from anomattr.gaussian import cholesky, kl_from_factors
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -28,6 +29,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+def kl_divergence(p, q) -> float:
+    """Closed-form KL(p || q) of two ``(mean, cov)`` pairs as given (no jitter).
+
+    Goes through the package kernel (Cholesky factors, then
+    ``kl_from_factors``); round-off below zero is clamped to 0.
+    """
+    (mean_p, cov_p), (mean_q, cov_q) = p, q
+    if len(mean_p) != len(mean_q):
+        raise ValueError(f"dimension mismatch: {len(mean_p)} vs {len(mean_q)}")
+    value = float(kl_from_factors(mean_p, cholesky(cov_p, "p"), mean_q, cholesky(cov_q, "q")))
+    assert value > -1e-6, f"divergence evaluated to {value:.3g}"
+    return max(0.0, value)
 
 
 def replacement_law(model, subset) -> tuple[np.ndarray, np.ndarray]:

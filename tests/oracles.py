@@ -82,6 +82,39 @@ def windowed_covariance(values: np.ndarray, window_len: int) -> tuple[np.ndarray
     return mean, cov
 
 
+def lagged_gram(series, mask, length: int) -> np.ndarray:
+    """(I kron D) Z'Z (I kron D): the block-Toeplitz joint of the biased lag estimator.
+
+    c is the series centered on the mean of its observed cells outside the
+    interval ``mask``, zero on missing and masked cells, and D = diag(1/sqrt(n_j))
+    with n_j the count of those cells of variable j. Row t of Z is the
+    length-``length`` window of c starting at t, for every start from
+    -(length-1) to n-1, zero where the window leaves the series; window step
+    i, variable j is column i*d + j. Built with plain loops.
+    """
+    n, d = series.n, series.d
+    observed = [
+        [not series.missing[t, j] and not mask.a <= t < mask.b for j in range(d)] for t in range(n)
+    ]
+    counts = [sum(observed[t][j] for t in range(n)) for j in range(d)]
+    means = [
+        sum(series.values[t, j] for t in range(n) if observed[t][j]) / counts[j] for j in range(d)
+    ]
+    c = np.zeros((n, d))
+    for t in range(n):
+        for j in range(d):
+            if observed[t][j]:
+                c[t, j] = series.values[t, j] - means[j]
+    z = np.zeros((n + length - 1, length * d))
+    for row, start in enumerate(range(-(length - 1), n)):
+        for i in range(length):
+            if 0 <= start + i < n:
+                for j in range(d):
+                    z[row, i * d + j] = c[start + i, j]
+    scale = np.array([1.0 / np.sqrt(counts[j]) for _ in range(length) for j in range(d)])
+    return scale[:, None] * (z.T @ z) * scale[None, :]
+
+
 def interval_iou(a1: int, b1: int, a2: int, b2: int) -> float:
     inter = max(0, min(b1, b2) - max(a1, a2))
     union = (b1 - a1) + (b2 - a2) - inter

@@ -53,6 +53,11 @@ class TestEnumeration:
         assert subset_cap(6) == 3
         assert subset_cap(6, max_subset_size=2) == 2
 
+    @pytest.mark.parametrize("field", [{"baseline_bins": 1}, {"max_subset_size": 0}])
+    def test_config_refuses_bad_bins_and_cap(self, field):
+        with pytest.raises(ConfigError):
+            AttributionConfig(**field)
+
     def test_three_variables_give_six_subsets(self):
         assert len(enumerate_subsets(3, subset_cap(3))) == 6
 

@@ -17,6 +17,7 @@ from anomattr import (
     score_interval,
     zscore,
 )
+from anomattr import attribution
 from anomattr.cli import main
 
 SIM_SPEC = """\
@@ -261,6 +262,18 @@ class TestAttribute:
              "--interval", "oops"]
         )
         assert code == 2
+
+    def test_single_bin_exits_2_before_scoring(self, sim_dir, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subset was scored")
+
+        monkeypatch.setattr(attribution, "_score_subset", refuse)
+        code = main(
+            ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path),
+             "--interval", "500:550", "--bins", "1"]
+        )
+        assert code == 2
+        assert "error: bins must be >= 2, got 1" in capsys.readouterr().err
 
     def test_fixed_seed_outputs_are_byte_identical(self, sim_dir, tmp_path):
         outs = []

@@ -3,18 +3,21 @@ import logging
 import numpy as np
 import pytest
 
+import unittest
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from anomattr import (
     EmbeddingConfig,
-    GaussianModel,
     Interval,
-    StationaryCovariance,
     WindowModel,
     apply_replacement,
     assemble_joint,
     estimate_stationary,
 )
 from anomattr.errors import ConfigError, EstimationError
-from anomattr.gaussian import jitter_epsilon
+from anomattr.gaussian import JITTER_FLOOR, jitter_epsilon
 
 import oracles
 from conftest import make_series, replacement_law, window_cells
@@ -28,22 +31,33 @@ def ar1_series(rng, n, phi=0.8, d=1):
     return make_series(x)
 
 
+def unjittered_joint(series, interval, length) -> np.ndarray:
+    """The block-Toeplitz joint over ``length`` steps without its diagonal jitter.
+
+    The joint's mean diagonal entry is that of its lag-0 block, so its jitter
+    is the jitter of C_0."""
+    blocks, mean = estimate_stationary(series, interval, max_lag=length - 1)
+    _, cov = assemble_joint(blocks, mean)
+    return cov - jitter_epsilon(blocks[0]) * np.eye(cov.shape[0])
+
+
 class TestEstimateStationary:
     def test_white_noise_blocks(self):
         rng = np.random.default_rng(5)
         series = make_series(rng.standard_normal((20000, 2)))
-        stat, mean = estimate_stationary(series, Interval(5000, 5100), max_lag=1)
+        blocks, mean = estimate_stationary(series, Interval(5000, 5100), max_lag=1)
+        assert blocks.shape == (2, 2, 2)
         assert np.abs(mean).max() < 0.05
-        assert np.abs(stat.blocks[0] - np.eye(2)).max() < 0.05
-        assert np.abs(stat.blocks[1]).max() < 0.05
+        assert np.abs(blocks[0] - np.eye(2)).max() < 0.05
+        assert np.abs(blocks[1]).max() < 0.05
 
     def test_ar1_matches_analytic_autocovariance(self):
         rng = np.random.default_rng(9)
         series = ar1_series(rng, 20000, phi=0.8)
-        stat, _ = estimate_stationary(series, Interval(100, 150), max_lag=5)
+        blocks, _ = estimate_stationary(series, Interval(100, 150), max_lag=5)
         for k in range(6):
             want = oracles.ar1_autocovariance(0.8, k)
-            got = stat.blocks[k][0, 0]
+            got = blocks[k][0, 0]
             assert abs(got - want) / want < 0.05
 
     def test_mask_excludes_the_anomaly(self, rng):
@@ -58,71 +72,96 @@ class TestEstimateStationary:
     def test_constant_outside_mask_gives_zero_blocks(self):
         values = np.ones((50, 2))
         values[10:20] = 7.0
-        stat, mean = estimate_stationary(make_series(values), Interval(10, 20), max_lag=3)
+        blocks, mean = estimate_stationary(make_series(values), Interval(10, 20), max_lag=3)
         assert np.allclose(mean, 1.0)
-        assert np.allclose(stat.blocks, 0.0)
+        assert np.allclose(blocks, 0.0)
 
-    def test_insufficient_pairs_names_the_lag(self):
+    def test_variables_never_observed_together_fit(self):
         """Two variables never observed together outside the interval have no
-        lag-0 pairs: fitting the window fails, naming lag 0."""
+        lag-0 pairs: their lag-0 cross entry is zero, and the window fits."""
         values = np.random.default_rng(0).standard_normal((60, 2))
         missing = np.zeros((60, 2), dtype=bool)
         missing[:30, 0] = True
         missing[30:, 1] = True
         series = make_series(values, missing=missing)
-        with pytest.raises(EstimationError, match="lag 0"):
-            WindowModel.fit(series, Interval(40, 45), EmbeddingConfig())
+        blocks, _ = estimate_stationary(series, Interval(40, 45), max_lag=8)
+        assert blocks[0][0, 1] == 0.0 and blocks[0][1, 0] == 0.0
+        assert blocks[1][0, 1] != 0.0  # x0 at t = 30 pairs with x1 at t = 29
+        model = WindowModel.fit(series, Interval(40, 45), EmbeddingConfig())
+        assert model.length == 9
 
-    def test_truncate_stops_and_logs(self, caplog):
+    def test_a_variable_observed_once_is_refused(self):
+        values = np.random.default_rng(0).standard_normal((20, 2))
+        missing = np.zeros((20, 2), dtype=bool)
+        missing[:, 1] = True
+        missing[3, 1] = False
+        missing[12, 1] = False  # inside the mask
+        series = make_series(values, missing=missing, names=["a", "b"])
+        with pytest.raises(EstimationError, match="'b' has 1 observations"):
+            estimate_stationary(series, Interval(10, 15), max_lag=2)
+
+    def test_a_lag_without_pairs_is_zero(self):
+        """Outside the mask [2, 10) of a 12-step series the observed steps are
+        0, 1, 10 and 11: lags 0, 1, 9, 10 and 11 have pairs, the others and
+        every lag at or beyond n do not, and are zero."""
         series = make_series(np.random.default_rng(0).standard_normal((12, 1)))
-        with caplog.at_level(logging.WARNING):
-            stat, _ = estimate_stationary(series, Interval(0, 3), max_lag=8)
-        assert stat.max_lag < 8
-        assert any("truncated" in rec.message for rec in caplog.records)
+        blocks, _ = estimate_stationary(series, Interval(2, 10), max_lag=14)
+        assert blocks.shape == (15, 1, 1)
+        with_pairs = [0, 1, 9, 10, 11]
+        assert np.all(blocks[with_pairs] != 0.0)
+        assert np.all(np.delete(blocks, with_pairs, axis=0) == 0.0)
 
     def test_max_lag_precondition(self, small_series):
+        """A negative max_lag is refused; one beyond the unmasked rows is not."""
         with pytest.raises(ConfigError):
-            estimate_stationary(small_series, Interval(0, 150), max_lag=60)
+            estimate_stationary(small_series, Interval(0, 150), max_lag=-1)
+        blocks, _ = estimate_stationary(small_series, Interval(0, 150), max_lag=60)
+        assert blocks.shape == (61, 3, 3)
 
 
 class TestAssembleJoint:
     def test_two_vars_three_steps_block_pattern(self):
         rng = np.random.default_rng(2)
         series = make_series(rng.standard_normal((20000, 2)) @ rng.normal(size=(2, 2)))
-        stat, mean = estimate_stationary(series, Interval(10, 20), max_lag=2)
-        joint = assemble_joint(stat, mean, length=3)
-        assert joint.cov.shape == (6, 6)
+        blocks, mean = estimate_stationary(series, Interval(10, 20), max_lag=2)
+        _, cov = assemble_joint(blocks, mean)
+        assert cov.shape == (6, 6)
         d = 2
+        eps = jitter_epsilon(blocks[0])
         for i in range(3):
             for j in range(3):
-                block = joint.cov[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                if i >= j:
-                    assert np.array_equal(block, stat.blocks[i - j])
+                block = cov[i * d : (i + 1) * d, j * d : (j + 1) * d]
+                if i == j:
+                    np.testing.assert_allclose(block, blocks[0] + eps * np.eye(d), rtol=1e-15)
+                    assert block[0, 1] == blocks[0][0, 1] and block[1, 0] == blocks[0][1, 0]
+                elif i > j:
+                    assert np.array_equal(block, blocks[i - j])
                 else:
-                    assert np.array_equal(block, stat.blocks[j - i].T)
+                    assert np.array_equal(block, blocks[j - i].T)
 
     def test_diagonal_shift_identity(self):
         """block(i, j) == block(i+1, j+1) exactly."""
         rng = np.random.default_rng(3)
         series = make_series(rng.standard_normal((5000, 3)))
-        stat, mean = estimate_stationary(series, Interval(100, 120), max_lag=3)
-        joint = assemble_joint(stat, mean, length=4)
+        _, cov = assemble_joint(*estimate_stationary(series, Interval(100, 120), max_lag=3))
         d = 3
         for i in range(3):
             for j in range(3):
-                a = joint.cov[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                b = joint.cov[(i + 1) * d : (i + 2) * d, (j + 1) * d : (j + 2) * d]
+                a = cov[i * d : (i + 1) * d, j * d : (j + 1) * d]
+                b = cov[(i + 1) * d : (i + 2) * d, (j + 1) * d : (j + 2) * d]
                 assert np.array_equal(a, b)
 
     def test_identity_blocks_give_identity(self):
-        stat = StationaryCovariance(blocks=np.stack([np.eye(2), np.zeros((2, 2))]))
-        joint = assemble_joint(stat, np.zeros(2), length=3)
-        assert np.array_equal(joint.cov, np.eye(6))
+        """Identity lag-0 and zero lag blocks give the identity plus the jitter
+        floor, the one jitter of a unit-diagonal joint."""
+        zero = np.zeros((2, 2))
+        _, cov = assemble_joint(np.stack([np.eye(2), zero, zero]), np.zeros(2))
+        assert np.array_equal(cov, (1.0 + JITTER_FLOOR) * np.eye(6))
 
     def test_mean_is_tiled(self):
-        stat = StationaryCovariance(blocks=np.eye(2)[None])
-        joint = assemble_joint(stat, np.array([1.0, -2.0]), length=3)
-        assert np.array_equal(joint.mean, [1, -2, 1, -2, 1, -2])
+        mean, cov = assemble_joint(np.stack([np.eye(2)] * 3), np.array([1.0, -2.0]))
+        assert np.array_equal(mean, [1, -2, 1, -2, 1, -2])
+        assert cov.shape == (6, 6)
 
     def test_matches_windowed_covariance(self):
         """Toeplitz assembly vs the brute-force covariance of explicit windows."""
@@ -135,34 +174,56 @@ class TestAssembleJoint:
         for t in range(2, n):
             x[t] = a1 @ x[t - 1] + a2 @ x[t - 2] + eps[t]
         series = make_series(x)
-        stat, mean = estimate_stationary(series, Interval(0, 1), max_lag=ell - 1)
-        joint = assemble_joint(stat, mean, length=ell)
+        _, cov = assemble_joint(*estimate_stationary(series, Interval(0, 1), max_lag=ell - 1))
         _, brute = oracles.windowed_covariance(x[1:], ell)
-        rel = np.linalg.norm(joint.cov - brute) / np.linalg.norm(brute)
+        rel = np.linalg.norm(cov - brute) / np.linalg.norm(brute)
         assert rel < 0.10
 
-    def test_indefinite_assembly_is_repaired(self, caplog):
-        blocks = np.stack([np.eye(2), 1.5 * np.eye(2)])
-        stat = StationaryCovariance(blocks=blocks)
-        raw = np.block([[blocks[0], blocks[1].T], [blocks[1], blocks[0]]])
-        eps = jitter_epsilon(raw)  # the repair-time clipping level
-        with caplog.at_level(logging.WARNING):
-            joint = assemble_joint(stat, np.zeros(2), length=2)
-        assert np.linalg.eigvalsh(joint.cov).min() >= eps * (1 - 1e-9)
-        assert any("repaired" in rec.message for rec in caplog.records)
+    def test_matches_the_lagged_gram_oracle(self, rng):
+        """Without its jitter the joint is (I kron D) Z'Z (I kron D), Z the
+        zero-padded lagged copies of the centered series, on random masks and
+        missing cells, including windows longer than the series."""
+        for _ in range(20):
+            n, d = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+            a = int(rng.integers(1, n - 2))  # rows 0 and n-1 stay outside the mask
+            interval = Interval(a, int(rng.integers(a + 1, min(a + 8, n - 1))))
+            missing = rng.random((n, d)) < rng.uniform(0.0, 0.3)
+            missing[0, :] = missing[-1, :] = False
+            series = make_series(rng.standard_normal((n, d)), missing=missing)
+            length = int(rng.integers(1, n + 6))
+            want = oracles.lagged_gram(series, interval, length)
+            np.testing.assert_allclose(unjittered_joint(series, interval, length), want, rtol=1e-12)
 
-    def test_short_blocks_are_zero_filled(self, caplog):
-        stat = StationaryCovariance(blocks=np.eye(2)[None])
-        with caplog.at_level(logging.WARNING):
-            joint = assemble_joint(stat, np.zeros(2), length=3)
-        assert np.array_equal(joint.cov, np.eye(6))
-        assert any("zero" in rec.message for rec in caplog.records)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(3, 40),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_nominal_joint_is_positive_semi_definite(self, seed, n, d, kappa, share):
+        """Any mask, missing share and window length, windows longer than the
+        unmasked rows included: the joint without its jitter has no eigenvalue
+        below -1e-12 * trace / dim, and the window fits with no warning."""
+        rng = np.random.default_rng(seed)
+        a = int(rng.integers(0, n))
+        interval = Interval(a, int(rng.integers(a + 1, n + 1)))
+        series = make_series(rng.standard_normal((n, d)), missing=rng.random((n, d)) < share)
+        present = ~series.missing
+        present[interval.a : interval.b] = False
+        assume(present.sum(axis=0).min() >= 2)
+        cfg = EmbeddingConfig(kappa=kappa)
+        with unittest.TestCase().assertNoLogs("anomattr", logging.WARNING):
+            model = WindowModel.fit(series, interval, cfg)
+        raw = unjittered_joint(series, interval, model.length)
+        assert np.linalg.eigvalsh(raw).min() >= -1e-12 * np.trace(raw) / raw.shape[0]
 
 
 def identity_model(series, interval, cfg) -> WindowModel:
     """A window model of ``interval`` over an identity joint."""
     dim = (interval.length + 2 * cfg.history) * series.d
-    return WindowModel(GaussianModel(mean=np.zeros(dim), cov=np.eye(dim)), series, interval, cfg)
+    return WindowModel(np.zeros(dim), np.eye(dim), series, interval, cfg)
 
 
 class TestReplacementWindow:
@@ -214,16 +275,19 @@ class TestReplacementWindow:
     @pytest.mark.parametrize(
         "n, interval, kappa",
         [
-            (12, Interval(0, 3), 5),  # too short for all lags, and lag 8 runs out of pairs
-            (10, Interval(4, 6), 5),  # too short for all lags; every estimated lag has pairs
+            (12, Interval(0, 3), 5),  # the window needs lags the series has no pairs for
+            (10, Interval(4, 6), 5),  # the window is as long as the series
         ],
     )
-    def test_a_shortened_window_warns_once(self, caplog, n, interval, kappa):
+    def test_a_shortened_window_fits_without_warning(self, caplog, n, interval, kappa):
+        """Lags without pairs are zero and the joint stays positive definite
+        before its jitter: nothing is repaired or logged."""
         series = make_series(np.random.default_rng(1).standard_normal((n, 1)))
         with caplog.at_level(logging.WARNING):
             model = WindowModel.fit(series, interval, EmbeddingConfig(kappa=kappa))
         assert model.length == interval.length + 2 * (kappa - 1)
-        assert len([rec for rec in caplog.records if "lag" in rec.message]) == 1
+        assert not caplog.records
+        assert np.linalg.eigvalsh(unjittered_joint(series, interval, model.length)).min() > 0
 
     def test_context_is_what_the_rescore_reads(self, rng):
         """kappa=3, tau=2: the window is [a - 4, b + 4). The conditional matches
@@ -239,13 +303,13 @@ class TestReplacementWindow:
         assert (fitted.start, fitted.length) == (16, 11)
 
         mean, cov = oracles.random_gaussian(rng, 11 * d)
-        joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
-        law = replacement_law(WindowModel(joint, series, interval, cfg), (0,))
+        cov = 0.5 * (cov + cov.T)
+        law = replacement_law(WindowModel(mean, cov, series, interval, cfg), (0,))
         cells, present, replaced = window_cells(series, interval, cfg, (0,))
         q_idx = np.flatnonzero(replaced)
         e_idx = np.flatnonzero(present & ~replaced)
         want_mean, want_cov = oracles.conditional_by_precision(
-            mean, joint.cov, q_idx, e_idx, cells[e_idx]
+            mean, cov, q_idx, e_idx, cells[e_idx]
         )
         np.testing.assert_allclose(law[0], want_mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(law[1], want_cov, rtol=1e-8, atol=1e-8)
@@ -253,7 +317,8 @@ class TestReplacementWindow:
         def moved_mean(t):
             moved = values.copy()
             moved[t, 1] += 3.0
-            return replacement_law(WindowModel(joint, make_series(moved), interval, cfg), (0,))[0]
+            model = WindowModel(mean, cov, make_series(moved), interval, cfg)
+            return replacement_law(model, (0,))[0]
 
         for t in (16, 17, 25, 26):  # 4 and 3 steps before a, 3 and 4 steps after b - 1
             assert np.abs(moved_mean(t) - law[0]).max() > 1e-6
@@ -275,16 +340,16 @@ class TestConditional:
             cfg = EmbeddingConfig(kappa=kappa)
             dim = (ell_core + 2 * (kappa - 1)) * d
             mean, cov = oracles.random_gaussian(rng, dim)
-            joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+            cov = 0.5 * (cov + cov.T)
             series = make_series(rng.standard_normal((n, d)))
-            model = WindowModel(joint, series, interval, cfg)
+            model = WindowModel(mean, cov, series, interval, cfg)
             cond_mean, cond_cov = replacement_law(model, subset)
 
             values, present, replaced = window_cells(series, interval, cfg, subset)
             q_idx = np.flatnonzero(replaced)
             e_idx = np.flatnonzero(present & ~replaced)
             want_mean, want_cov = oracles.conditional_by_precision(
-                mean, joint.cov, q_idx, e_idx, values[e_idx]
+                mean, cov, q_idx, e_idx, values[e_idx]
             )
             np.testing.assert_allclose(cond_mean, want_mean, rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(cond_cov, want_cov, rtol=1e-8, atol=1e-8)
@@ -305,10 +370,10 @@ class TestConditional:
             interval = Interval(a, a + core)
             cfg = EmbeddingConfig(kappa=kappa)
             mean, cov = oracles.random_gaussian(rng, (core + 2 * (kappa - 1)) * d)
-            joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
+            cov = 0.5 * (cov + cov.T)
             missing = rng.random((n, d)) < 0.15
             series = make_series(rng.standard_normal((n, d)), missing=missing)
-            model = WindowModel(joint, series, interval, cfg)
+            model = WindowModel(mean, cov, series, interval, cfg)
             cond_mean, cond_cov = replacement_law(model, subset)
 
             values, present, replaced = window_cells(series, interval, cfg, subset)
@@ -318,7 +383,7 @@ class TestConditional:
             kept = np.concatenate([q_idx, e_idx])
             want_mean, want_cov = oracles.conditional_by_precision(
                 mean[kept],
-                joint.cov[np.ix_(kept, kept)],
+                cov[np.ix_(kept, kept)],
                 np.arange(q_idx.size),
                 np.arange(q_idx.size, kept.size),
                 values[e_idx],
@@ -336,11 +401,10 @@ class TestConditional:
         interval = Interval(1, 12)  # left context runs off the series
         cfg = EmbeddingConfig(kappa=3)
         model = WindowModel.fit(series, interval, cfg)
-        stat, mean = estimate_stationary(series, interval, max_lag=model.length - 1)
-        joint = assemble_joint(stat, mean, model.length)
+        mean, cov = assemble_joint(*estimate_stationary(series, interval, model.length - 1))
         for subset in [(0,), (3,), (1, 2), (0, 3)]:
             want_mean, want_cov = replacement_law(
-                WindowModel(joint, series, interval, cfg), subset
+                WindowModel(mean, cov, series, interval, cfg), subset
             )
             got_mean, got_cov = replacement_law(model, subset)
             np.testing.assert_allclose(got_mean, want_mean, rtol=1e-12, atol=1e-12)
@@ -353,10 +417,9 @@ class TestConditional:
         cov = np.array(
             [[sigma1**2, rho * sigma1 * sigma2], [rho * sigma1 * sigma2, sigma2**2]]
         )
-        joint = GaussianModel(mean=mu, cov=cov)
         z = 0.3
         series = make_series(np.array([[999.0, z]]))  # value of var 0 is irrelevant
-        model = WindowModel(joint, series, Interval(0, 1), EmbeddingConfig(kappa=1))
+        model = WindowModel(mu, cov, series, Interval(0, 1), EmbeddingConfig(kappa=1))
         cond_mean, cond_cov = replacement_law(model, (0,))
         want = mu[0] + rho * (sigma1 / sigma2) * (z - mu[1])
         assert np.isclose(cond_mean[0], want)
@@ -365,9 +428,9 @@ class TestConditional:
     def test_block_diagonal_independence(self, rng):
         """With variables uncorrelated, dropping the other variable's evidence
         leaves the conditional unchanged."""
-        blocks = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 0.3])])
-        stat = StationaryCovariance(blocks=blocks)
-        joint = assemble_joint(stat, np.zeros(2), length=4)
+        zero = np.zeros((2, 2))
+        blocks = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 0.3]), zero, zero])
+        mean, cov = assemble_joint(blocks, np.zeros(2))
         values = rng.standard_normal((30, 2))
         series_full = make_series(values.copy())
         hidden = values.copy()
@@ -375,9 +438,11 @@ class TestConditional:
         missing[:, 1] = True  # hide variable 1 everywhere
         series_hidden = make_series(hidden, missing=missing)
         interval, cfg = Interval(10, 12), EmbeddingConfig(kappa=2)
-        full_mean, full_cov = replacement_law(WindowModel(joint, series_full, interval, cfg), (0,))
+        full_mean, full_cov = replacement_law(
+            WindowModel(mean, cov, series_full, interval, cfg), (0,)
+        )
         hidden_mean, hidden_cov = replacement_law(
-            WindowModel(joint, series_hidden, interval, cfg), (0,)
+            WindowModel(mean, cov, series_hidden, interval, cfg), (0,)
         )
         np.testing.assert_allclose(full_mean, hidden_mean, atol=1e-10)
         np.testing.assert_allclose(full_cov, hidden_cov, atol=1e-10)
@@ -389,9 +454,9 @@ class TestConditional:
         interval = Interval(5, 8)
         dim = (interval.length + 2 * (kappa - 1)) * d
         mean, cov = oracles.random_gaussian(rng, dim)
-        joint = GaussianModel(mean=mean, cov=0.5 * (cov + cov.T))
         series = make_series(rng.standard_normal((40, d)))
-        model = WindowModel(joint, series, interval, EmbeddingConfig(kappa=kappa))
+        cov = 0.5 * (cov + cov.T)
+        model = WindowModel(mean, cov, series, interval, EmbeddingConfig(kappa=kappa))
         cond_mean, cond_cov = replacement_law(model, (0,))
         n_draws = 2000
         draws = model.draws((0,), range(n_draws)).reshape(n_draws, -1)
@@ -409,15 +474,14 @@ class TestSampling:
         else:
             series = make_series(rng.standard_normal((400, 2)), missing=missing)
         length = self.INTERVAL.length + 2 * self.CFG.history
-        stat, mean = estimate_stationary(series, self.INTERVAL, max_lag=length - 1)
-        joint = assemble_joint(stat, mean, length)
-        return series, joint
+        mean, cov = assemble_joint(*estimate_stationary(series, self.INTERVAL, length - 1))
+        return series, mean, cov
 
     def test_seed_determinism_and_distinctness(self, rng):
-        series, joint = self._setup(rng)
-        model = WindowModel(joint, series, self.INTERVAL, self.CFG)
+        series, mean, cov = self._setup(rng)
+        model = WindowModel(mean, cov, series, self.INTERVAL, self.CFG)
         s1, s3 = model.draws((0,), [42, 43])
-        s2 = WindowModel(joint, series, self.INTERVAL, self.CFG).draws((0,), [42, 43])[0]
+        s2 = WindowModel(mean, cov, series, self.INTERVAL, self.CFG).draws((0,), [42, 43])[0]
         assert np.array_equal(s1, s2)
         assert not np.array_equal(s1, s3)
         assert s1.shape == (10, 1)
@@ -429,13 +493,13 @@ class TestSampling:
         Drawn in a stack or alone, it agrees at 1e-12."""
         missing = np.zeros((400, 2), dtype=bool)
         missing[[199, 203, 205], [1, 0, 1]] = True  # context, replaced, kept
-        series, joint = self._setup(rng, missing=missing)
-        model = WindowModel(joint, series, self.INTERVAL, self.CFG)
+        series, mean, cov = self._setup(rng, missing=missing)
+        model = WindowModel(mean, cov, series, self.INTERVAL, self.CFG)
         values, present, replaced = window_cells(series, self.INTERVAL, self.CFG, (0,))
         q_idx = np.flatnonzero(replaced)
         q = q_idx.size
         hidden = np.concatenate([np.setdiff1d(np.flatnonzero(~present), q_idx), q_idx])
-        residual = np.where(present, values - joint.mean, 0.0)
+        residual = np.where(present, values - mean, 0.0)
         residual[hidden] = 0.0
         chol = np.linalg.cholesky(model.precision[np.ix_(hidden, hidden)])
         y_q = np.linalg.solve(chol, (model.precision @ residual)[hidden])[-q:]
@@ -447,22 +511,22 @@ class TestSampling:
         assert stack.shape == (4, self.INTERVAL.length, 1)
         for r, seed in enumerate(seeds):
             z = np.random.default_rng(seed).standard_normal(q)
-            want = joint.mean[q_idx] + np.linalg.solve(chol_qq.T, z - y_q)
+            want = mean[q_idx] + np.linalg.solve(chol_qq.T, z - y_q)
             np.testing.assert_allclose(stack[r].ravel(), want, rtol=1e-12)
             np.testing.assert_allclose(model.draws((0,), [seed])[0], stack[r], rtol=1e-12)
 
     def test_conditioning_smooths_the_seam(self, rng):
         """With strong positive lag-1 correlation the conditional draw connects
         to the left context much better than an unconditional one."""
-        series, joint = self._setup(rng, phi=0.9)
+        series, mean, cov = self._setup(rng, phi=0.9)
         a = self.INTERVAL.a
         left_value = series.values[a - 1, 0]
         q_idx = np.flatnonzero(window_cells(series, self.INTERVAL, self.CFG, (0,))[2])
         cond_jumps, uncond_jumps = [], []
-        marg_mean = joint.mean[q_idx][0]
-        marg_sd = np.sqrt(joint.cov[q_idx[0], q_idx[0]])
+        marg_mean = mean[q_idx][0]
+        marg_sd = np.sqrt(cov[q_idx[0], q_idx[0]])
         rng2 = np.random.default_rng(77)
-        draws = WindowModel(joint, series, self.INTERVAL, self.CFG).draws((0,), range(1000))
+        draws = WindowModel(mean, cov, series, self.INTERVAL, self.CFG).draws((0,), range(1000))
         for draw in draws:
             cond_jumps.append(abs(draw[0, 0] - left_value))
             uncond_jumps.append(abs(marg_mean + marg_sd * rng2.standard_normal() - left_value))
