@@ -60,6 +60,8 @@ class AttributionConfig:
             raise ConfigError(f"max_subset_size must be >= 1, got {self.max_subset_size}")
         if self.baseline_bins < 2:
             raise ConfigError(f"bins must be >= 2, got {self.baseline_bins}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .gaussian import cholesky, jitter_epsilon
+from .gaussian import cholesky, jitter_epsilon, solve_lower
 from .series import EmbeddingConfig, Interval, MultivariateSeries
 
 
@@ -243,7 +243,7 @@ class WindowModel:
         lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q last, so Lambda_HQ = lam_hh[:, -q:]
         pulled = self.pulled[hidden] - lam_hh[:, -q:] @ self.residual[q_idx]
         chol = cholesky(lam_hh, f"hidden-cell precision of subset {tuple(subset)}")
-        y = np.linalg.solve(chol, pulled)
+        y = solve_lower(chol, pulled)
         return q_idx, y[-q:], chol[-q:, -q:]
 
     def conditional(self, subset) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +252,7 @@ class WindowModel:
         The covariance of that law is (L_QQ L_QQ')^-1.
         """
         q_idx, y_q, chol_qq = self._factor(subset)
-        return self.mean[q_idx] - np.linalg.solve(chol_qq.T, y_q), chol_qq
+        return self.mean[q_idx] - solve_lower(chol_qq, y_q, transpose=True), chol_qq
 
     def realize(self, subset, normals: np.ndarray) -> np.ndarray:
         """Replacements of ``subset`` from standard normals, shaped (R, |interval|, |subset|).
@@ -261,7 +261,7 @@ class WindowModel:
         all R rows are solved together in one solve.
         """
         q_idx, y_q, chol_qq = self._factor(subset)
-        x = np.linalg.solve(chol_qq.T, normals.T - y_q[:, None]) + self.mean[q_idx, None]
+        x = solve_lower(chol_qq, normals.T - y_q[:, None], transpose=True) + self.mean[q_idx, None]
         return x.T.reshape(len(normals), self.interval.length, len(subset))
 
     def draws(self, subset, seeds) -> np.ndarray:

@@ -125,8 +125,8 @@ def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
 def _score_pair(interval: Interval, inside, outside) -> float:
     """One interval's score from each side's (mean, covariance); NumericalError if unscorable."""
     (mu_in, cov_in), (mu_out, cov_out) = inside, outside
-    chol_in, chol_out = jittered_cholesky(np.stack([cov_in, cov_out]))
-    score = float(_scores(mu_in, chol_in, mu_out, chol_out, interval.length))
+    chol = jittered_cholesky(np.stack([cov_in, cov_out], axis=-1))
+    score = float(_scores(mu_in, chol[..., 0], mu_out, chol[..., 1], interval.length))
     if np.isnan(score):
         raise NumericalError(
             f"interval [{interval.a}, {interval.b}) is unscorable: a covariance does not "
@@ -204,24 +204,28 @@ class PrefixScanner:
     cancel against a large offset. Missing rows are zero-filled and tracked
     by a separate count prefix, so means and ML covariances come out
     identical (up to round-off) to naive re-estimation over the usable rows.
+    The prefix index is the last axis (``sums`` is (width, rows + 1),
+    ``outer_sums`` (width, width, rows + 1)), so gathering N candidates
+    gives the (width, N) means and (width, width, N) covariance stacks that
+    :mod:`.gaussian` factors and scores across the stack.
     """
 
     def __init__(self, emb: Embedding):
         valid = ~emb.missing
         m, width = emb.values.shape
         center = emb.values[valid].mean(axis=0) if valid.any() else 0.0
-        x = np.where(valid[:, None], emb.values - center, 0.0)
+        x = np.where(valid[:, None], emb.values - center, 0.0).T
         self.width = width
         self.lead = int(emb.times[0])
         self.rows = m
         self.counts = np.concatenate([[0], np.cumsum(valid)])
-        self.sums = np.zeros((m + 1, width))
-        np.cumsum(x, axis=0, out=self.sums[1:])
-        self.outer_sums = np.zeros((m + 1, width, width))
-        np.cumsum(x[:, :, None] * x[:, None, :], axis=0, out=self.outer_sums[1:])
+        self.sums = np.zeros((width, m + 1))
+        np.cumsum(x, axis=1, out=self.sums[:, 1:])
+        self.outer_sums = np.zeros((width, width, m + 1))
+        np.cumsum(x[:, None, :] * x[None, :, :], axis=2, out=self.outer_sums[:, :, 1:])
         self.total_count = int(self.counts[-1])
-        self.total_sum = self.sums[-1]
-        self.total_outer = self.outer_sums[-1]
+        self.total_sum = self.sums[:, -1:]
+        self.total_outer = self.outer_sums[:, :, -1:]
 
     def _row_range(self, starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.clip(starts - self.lead, 0, self.rows)
@@ -246,27 +250,29 @@ class PrefixScanner:
         if not ok.any():
             return out
         lo, hi = lo[ok], hi[ok]
-        sum_in = self.sums[hi] - self.sums[lo]
-        outer_in = self.outer_sums[hi]
-        outer_in -= self.outer_sums[lo]
-        # Each covariance stack is built in place and dropped once factored;
-        # at most four candidate-sized stacks are alive at a time.
+        # np.take returns C-contiguous stacks; indexing the last axis would not.
+        sum_in = np.take(self.sums, hi, axis=1)
+        sum_in -= np.take(self.sums, lo, axis=1)
+        outer_in = np.take(self.outer_sums, hi, axis=2)
+        outer_in -= np.take(self.outer_sums, lo, axis=2)
+        # Each covariance stack is built and factored in place; at most
+        # three candidate-sized stacks are alive at a time.
         mu_out, chol_out = _fit(self.total_outer - outer_in, self.total_sum - sum_in, cnt_out[ok])
         mu_in, chol_in = _fit(outer_in, sum_in, cnt_in[ok])
-        del outer_in
         out[ok] = _scores(mu_in, chol_in, mu_out, chol_out, length)
         return out
 
 
 def _fit(outer: np.ndarray, sums: np.ndarray, counts: np.ndarray):
-    """Means and jittered covariance factors of a stack from its moment sums.
+    """Means (width, N) and jittered covariance factors (width, width, N) from moment sums.
 
-    ``outer`` is overwritten with the covariances.
+    ``outer`` is overwritten with the factors.
     """
     counts = counts.astype(float)
-    mean = sums / counts[:, None]
-    outer /= counts[:, None, None]
-    outer -= mean[:, :, None] * mean[:, None, :]
+    mean = sums / counts
+    outer /= counts
+    for row, mean_a in zip(outer, mean):  # row by row: no stack-sized temporary
+        row -= mean_a * mean
     return mean, jittered_cholesky(outer)
 
 
@@ -292,6 +298,8 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     one. Ties break deterministically on (start, length).
     """
     n = series.n
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if cfg.len_max > n:
         raise ConfigError(f"len_max {cfg.len_max} exceeds series length {n}")
     emb = embed(series, cfg.embedding)

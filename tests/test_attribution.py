@@ -58,6 +58,11 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             AttributionConfig(**field)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_config_refuses_bad_threads(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            AttributionConfig(threads=threads)
+
     def test_three_variables_give_six_subsets(self):
         assert len(enumerate_subsets(3, subset_cap(3))) == 6
 

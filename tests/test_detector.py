@@ -13,7 +13,7 @@ from anomattr import (
     generate,
     score_interval,
 )
-from anomattr import detector
+from anomattr import detector, gaussian
 from anomattr.detector import LocalRescorer, PrefixScanner
 from anomattr.errors import ConfigError, NumericalError, ScoringError
 from anomattr.series import embed
@@ -245,13 +245,34 @@ class TestOneFactorization:
 
         def failing_middle(covs):
             chol = real(covs)
-            chol[1] = np.nan
+            chol[..., 1] = np.nan
             return chol
 
         monkeypatch.setattr(detector, "jittered_cholesky", failing_middle)
         got = scanner.score_batch(starts, interval.length)
         assert np.isnan(got[1])
         assert got[[0, 2]].tolist() == want[[0, 2]].tolist()
+
+    def test_scan_drops_a_stacked_candidate_that_does_not_factor(self, case, monkeypatch):
+        """With a stack past the crossover, the stack-last Cholesky gives the
+        one indefinite covariance a NaN factor and leaves the others as they were."""
+        series, interval, _ = case
+        scanner = PrefixScanner(embed(series, EMB))
+        starts = np.arange(0, series.n - interval.length + 1, 3)
+        assert starts.size >= max(80, gaussian.STACK_CROSSOVER)
+        want = scanner.score_batch(starts, interval.length)
+        assert np.isfinite(want).all()
+        real = detector.jittered_cholesky
+
+        def indefinite_one(covs):
+            covs[..., 40] = np.diag(np.arange(covs.shape[0]) - 1.0)
+            return real(covs)
+
+        monkeypatch.setattr(detector, "jittered_cholesky", indefinite_one)
+        got = scanner.score_batch(starts, interval.length)
+        assert np.isnan(got[40])
+        keep = np.arange(starts.size) != 40
+        assert got[keep].tolist() == want[keep].tolist()
 
 
 class TestDetect:
@@ -326,6 +347,13 @@ class TestDetect:
         series, _ = shifted_series(rng)
         cfg = ScanConfig(len_min=20, len_max=40, top_k=3, embedding=EMB)
         assert detect(series, cfg) == detect(series, cfg, threads=4)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_refuses_bad_threads(self, rng, threads):
+        series, _ = shifted_series(rng)
+        cfg = ScanConfig(len_min=20, len_max=40, embedding=EMB)
+        with pytest.raises(ConfigError, match="threads"):
+            detect(series, cfg, threads=threads)
 
     def test_translation_invariance(self, rng):
         series, _ = shifted_series(rng, n=400)

@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,21 @@ from scipy.stats import norm
 
 from anomattr import interval_score
 from anomattr.detector import _moments
-from anomattr.gaussian import JITTER_FLOOR, jitter_epsilon, jittered_cholesky, kl_from_factors
+from anomattr import gaussian
+from anomattr.gaussian import (
+    JITTER_FLOOR,
+    jitter_epsilon,
+    jittered_cholesky,
+    kl_from_factors,
+    solve_lower,
+)
 
 import oracles
 from conftest import kl_divergence
+
+
+#: One stack size below gaussian.STACK_CROSSOVER and one above it.
+STACK_SIZES = [6, 80]
 
 
 def model(mean, cov):
@@ -23,7 +37,8 @@ def fit(rows):
     Returns (mean, jittered covariance, lower factor of that covariance).
     """
     mean, cov = _moments(rows)
-    chol = jittered_cholesky(cov[None])[0]  # adds the jitter to cov in place
+    chol = jittered_cholesky(cov.copy())
+    cov.flat[:: len(cov) + 1] += jitter_epsilon(cov)  # the covariance that was factored
     return mean, cov, chol
 
 
@@ -66,12 +81,14 @@ class TestRegularize:
     """The jitter rule (jitter_epsilon) that every factorization applies."""
 
     def test_jitter_of_a_stack_is_per_matrix(self, rng):
-        covs = np.stack([oracles.random_gaussian(rng, 3)[1] * s for s in (1e-12, 1.0, 1e4)])
+        covs = np.stack(
+            [oracles.random_gaussian(rng, 3)[1] * s for s in (1e-12, 1.0, 1e4)], axis=-1
+        )
         eps = jitter_epsilon(covs)
         assert eps.shape == (3,)
         assert eps[0] == JITTER_FLOOR
-        for cov, e in zip(covs, eps):
-            assert e == jitter_epsilon(cov)
+        for k, e in enumerate(eps):
+            assert e == jitter_epsilon(covs[..., k])
 
 
 class TestKl:
@@ -151,49 +168,113 @@ class TestKl:
 
 
 class TestStackedKl:
-    """The stacked kernel used by the scan agrees with kl_divergence pair by pair."""
+    """The stacked kernels agree with kl_divergence pair by pair, on a stack
+    below the crossover (one LAPACK call per matrix) and one above it
+    (factored and solved across the stack)."""
 
     @staticmethod
     def stack(rng, k, dim):
+        """k pairs of random Gaussians, means (dim, k) and covariances (dim, dim, k)."""
         pairs = [
             (oracles.random_gaussian(rng, dim), oracles.random_gaussian(rng, dim))
             for _ in range(k)
         ]
-        mu_p, cov_p = (np.stack(x) for x in zip(*(p for p, _ in pairs)))
-        mu_q, cov_q = (np.stack(x) for x in zip(*(q for _, q in pairs)))
+        mu_p, cov_p = (np.stack(x, axis=-1) for x in zip(*(p for p, _ in pairs)))
+        mu_q, cov_q = (np.stack(x, axis=-1) for x in zip(*(q for _, q in pairs)))
         return mu_p, cov_p, mu_q, cov_q
 
     @staticmethod
     def one_at_a_time(mu_p, cov_p, mu_q, cov_q, k):
-        eps_p, eps_q = jitter_epsilon(cov_p[k]), jitter_epsilon(cov_q[k])
+        (mp, cp), (mq, cq) = (mu_p[:, k], cov_p[..., k]), (mu_q[:, k], cov_q[..., k])
+        eps_p, eps_q = jitter_epsilon(cp), jitter_epsilon(cq)
         return kl_divergence(
-            model(mu_p[k], cov_p[k] + eps_p * np.eye(len(mu_p[k]))),
-            model(mu_q[k], cov_q[k] + eps_q * np.eye(len(mu_q[k]))),
+            model(mp, cp + eps_p * np.eye(len(mp))), model(mq, cq + eps_q * np.eye(len(mq)))
         )
 
-    def test_matches_pairwise_kl(self, rng):
-        mu_p, cov_p, mu_q, cov_q = self.stack(rng, 12, 4)
-        want = [self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, k) for k in range(12)]
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_matches_pairwise_kl(self, rng, k):
+        mu_p, cov_p, mu_q, cov_q = self.stack(rng, k, 4)
+        want = [self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, i) for i in range(k)]
         got = kl_from_factors(
             mu_p, jittered_cholesky(cov_p.copy()), mu_q, jittered_cholesky(cov_q.copy())
         )
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("side", ["p", "q"])
-    def test_one_matrix_that_does_not_factor(self, rng, side):
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_one_matrix_that_does_not_factor(self, rng, k, side):
         """numpy refuses the whole stack; only the bad candidate gets NaN."""
-        mu_p, cov_p, mu_q, cov_q = self.stack(rng, 6, 3)
+        mu_p, cov_p, mu_q, cov_q = self.stack(rng, k, 3)
         bad = cov_p if side == "p" else cov_q
-        bad[2] = np.diag([1.0, -1.0, 2.0])  # indefinite: jitter cannot fix it
+        bad[..., 2] = np.diag([1.0, -1.0, 2.0])  # indefinite: jitter cannot fix it
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(bad)
+            np.linalg.cholesky(np.moveaxis(bad, -1, 0))
         got = kl_from_factors(
             mu_p, jittered_cholesky(cov_p.copy()), mu_q, jittered_cholesky(cov_q.copy())
         )
         assert np.isnan(got[2])
-        for k in (0, 1, 3, 4, 5):
-            want = self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, k)
-            assert got[k] == pytest.approx(want, rel=1e-10)
+        for i in (0, 1, 3, 4, k - 1):
+            want = self.one_at_a_time(mu_p, cov_p, mu_q, cov_q, i)
+            assert got[i] == pytest.approx(want, rel=1e-10)
+
+
+class TestStrategies:
+    """The two ways a stack is factored and scored, one LAPACK call per matrix
+    and across the stack, give the same factors, divergences and NaN pattern."""
+
+    def test_stack_sizes_straddle_the_crossover(self):
+        assert STACK_SIZES[0] < gaussian.STACK_CROSSOVER <= STACK_SIZES[1]
+
+    @given(
+        m=st.integers(1, 30),
+        k=st.sampled_from([2, 6, 80]),
+        seed=st.integers(0, 2**31 - 1),
+        bad=st.sets(st.integers(0, 1), max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_both_strategies_agree(self, m, k, seed, bad):
+        rng = np.random.default_rng(seed)
+        mu_p, cov_p, mu_q, cov_q = TestStackedKl.stack(rng, k, m)
+        # Indefinite matrices (one eigenvalue -1) in a few places: no jitter fixes them.
+        hit = rng.choice(k, size=min(k, 3), replace=False)
+        for side in bad:
+            cov = (cov_p, cov_q)[side]
+            for i in hit[side::2]:
+                basis, _ = np.linalg.qr(rng.normal(size=(m, m)))
+                cov[..., i] = (basis * np.r_[-1.0, np.ones(m - 1)]) @ basis.T
+        got = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for crossover in (1, k + 1):  # across the stack, then one matrix at a time
+                with mock.patch.object(gaussian, "STACK_CROSSOVER", crossover):
+                    chol_p = jittered_cholesky(cov_p.copy())
+                    chol_q = jittered_cholesky(cov_q.copy())
+                    got[crossover] = chol_p, chol_q, kl_from_factors(mu_p, chol_p, mu_q, chol_q)
+        for across, each in zip(got[1], got[k + 1]):
+            assert np.array_equal(np.isnan(across), np.isnan(each))
+        for across, each in zip(got[1][:2], got[k + 1][:2]):
+            # a factor entry near zero carries the round-off of the largest ones
+            atol = 1e-12 * np.nanmax(np.abs(each), initial=0.0)
+            np.testing.assert_allclose(across, each, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(got[1][2], got[k + 1][2], rtol=1e-12)
+        failed = np.isnan(got[1][2])
+        assert failed.sum() == len({int(i) for side in bad for i in hit[side::2]})
+
+
+class TestSolveLower:
+    """The blocked triangular solve against a general solve."""
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 150])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("columns", [None, 5])
+    def test_matches_general_solve(self, rng, m, transpose, columns):
+        a = rng.normal(size=(m, m))
+        chol = np.linalg.cholesky(a @ a.T / m + np.eye(m))
+        rhs = rng.normal(size=m if columns is None else (m, columns))
+        want = np.linalg.solve(chol.T if transpose else chol, rhs)
+        got = solve_lower(chol, rhs, transpose=transpose)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestUnbiasedKl:
