@@ -5,8 +5,10 @@ in-distribution replacements and re-scored; subsets whose replacement lowers
 the score the most are the attribution. Each window gets one nominal model
 (:class:`~anomattr.counterfactual.WindowModel`), inverted once and shared by
 every subset: it draws each subset's replacements in precision form, and a
-:class:`~anomattr.detector.LocalRescorer` re-scores each draw by refitting
-only the embedded rows the replacement touches. Both are built from the same
+:class:`~anomattr.detector.LocalRescorer` re-scores the draws by refitting
+only the embedded rows the replacement touches, a chunk of subsets of one
+size and all their draws as one stack; threads take whole chunks, so the
+outputs do not depend on the thread count. Both are built from the same
 (series, interval, embedding), so the model conditions on exactly the cells
 the re-score reads around the interval. A per-variable histogram
 divergence is included as the univariate baseline for comparison.
@@ -17,12 +19,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from functools import partial
+from itertools import combinations, groupby
 
 import numpy as np
 
 from .counterfactual import VariableSubset, WindowModel, subset_cap
-from .detector import Detection, LocalRescorer, score_interval
+from .detector import Detection, LocalRescorer, score_interval, unscorable
 from .errors import ConfigError, EstimationError, NumericalError, ScoringError
 from .series import EmbeddingConfig, Interval, MultivariateSeries
 
@@ -30,6 +33,10 @@ log = logging.getLogger(__name__)
 
 #: More variables than this need ``allow_many_variables``: the subset family grows as 2^d.
 MAX_VARIABLES = 20
+
+#: Most (subset, draw) pairs re-scored as one stack; a larger stack costs less per pair but
+#: holds more memory.
+RESCORE_STACK = 64
 
 
 def enumerate_subsets(d: int, cap: int) -> list[VariableSubset]:
@@ -140,21 +147,52 @@ def _seeds(cfg: AttributionConfig, si: int) -> list[np.random.SeedSequence]:
     return [np.random.SeedSequence([cfg.seed, si, r]) for r in range(cfg.realizations)]
 
 
-def _score_subset(
-    model: WindowModel,
-    rescorer: LocalRescorer,
-    subset: VariableSubset,
-    si: int,
-    cfg: AttributionConfig,
-) -> SubsetScore:
-    blocks = model.draws(subset.indices, _seeds(cfg, si))
-    scores = np.array([rescorer.score(subset.indices, block) for block in blocks])
+def _failed(subset: VariableSubset, exc: Exception) -> SubsetScore:
+    log.warning("subset %s failed: %s", subset.indices, exc)
+    return SubsetScore(subset=subset, mean_score=None, std_score=None, realizations=0,
+                       error=str(exc))
+
+
+def _summarize(subset: VariableSubset, scores: np.ndarray, interval: Interval) -> SubsetScore:
+    """A subset's mean and spread over its draws; NumericalError if any draw is unscorable."""
+    if np.isnan(scores).any():
+        raise unscorable(interval)
     return SubsetScore(
         subset=subset,
         mean_score=float(scores.mean()),
         std_score=float(scores.std()),
-        realizations=cfg.realizations,
+        realizations=scores.size,
     )
+
+
+def _score_chunk(
+    model: WindowModel,
+    rescorer: LocalRescorer,
+    chunk: list[tuple[int, VariableSubset]],
+    cfg: AttributionConfig,
+) -> list[SubsetScore]:
+    """Scores of a chunk of (position, subset) items of one size, in order.
+
+    The draws of every subset whose row counts and draws pass are re-scored
+    as one stack. A subset whose check, draws or any re-score fails records
+    its error; the rest of the chunk is still scored.
+    """
+    results, drawn = {}, []
+    for si, subset in chunk:
+        try:
+            rescorer.check(subset.indices)
+            drawn.append((si, subset, model.draws(subset.indices, _seeds(cfg, si))))
+        except (EstimationError, NumericalError, ScoringError, np.linalg.LinAlgError) as exc:
+            results[si] = _failed(subset, exc)
+    if drawn:
+        columns = np.repeat([subset.indices for _, subset, _ in drawn], cfg.realizations, axis=0)
+        scores = rescorer.score(columns, np.concatenate([blocks for *_, blocks in drawn]))
+        for (si, subset, _), row in zip(drawn, scores.reshape(len(drawn), cfg.realizations)):
+            try:
+                results[si] = _summarize(subset, row, rescorer.interval)
+            except NumericalError as exc:
+                results[si] = _failed(subset, exc)
+    return [results[si] for si, _ in chunk]
 
 
 def _rank_within_size(results: list[SubsetScore]) -> list[SubsetScore]:
@@ -191,27 +229,19 @@ def _attribute_window(
     cap = subset_cap(series.d, cfg.max_subset_size)
     subsets = enumerate_subsets(series.d, cap)
 
-    def run(item):
-        si, subset = item
-        try:
-            return _score_subset(model, rescorer, subset, si, cfg)
-        except (EstimationError, NumericalError, ScoringError, np.linalg.LinAlgError) as exc:
-            log.warning("subset %s failed: %s", subset.indices, exc)
-            return SubsetScore(
-                subset=subset,
-                mean_score=None,
-                std_score=None,
-                realizations=0,
-                error=str(exc),
-            )
+    per_chunk = max(1, RESCORE_STACK // cfg.realizations)
+    chunks = []
+    for _, group in groupby(enumerate(subsets), key=lambda item: item[1].size):
+        group = list(group)
+        chunks += [group[i : i + per_chunk] for i in range(0, len(group), per_chunk)]
 
-    items = list(enumerate(subsets))
+    run = partial(_score_chunk, model, rescorer, cfg=cfg)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, items))
+            scored = list(pool.map(run, chunks))
     else:
-        results = [run(item) for item in items]
-    results = _rank_within_size(results)
+        scored = [run(chunk) for chunk in chunks]
+    results = _rank_within_size([result for chunk in scored for result in chunk])
 
     baseline = univariate_baseline(series, interval, cfg.baseline_bins)
     report = AttributionReport(

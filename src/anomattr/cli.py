@@ -143,16 +143,20 @@ def _load_detections(cfg: RunConfig, series: MultivariateSeries) -> list[Detecti
         raise ConfigError(
             f"no detections file at {path}; run detect first or pass --interval a:b"
         )
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [
-        Detection(
-            interval=_check_within(Interval(rec["a"], rec["b"]), series),
-            score=rec["score"],
-            rank=rec["rank"],
-        )
-        for rec in payload["detections"]
-    ]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return [
+            Detection(
+                interval=_check_within(Interval(rec["a"], rec["b"]), series),
+                score=rec["score"],
+                rank=rec["rank"],
+            )
+            for rec in payload["detections"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"detections file {path} is malformed: {problem}") from None
 
 
 def _report_columns(cfg: RunConfig) -> list[str]:

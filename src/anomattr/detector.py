@@ -83,25 +83,24 @@ def _check_row_counts(interval: Interval, n_in: int, n_out: int, width: int) -> 
         )
 
 
-def interval_row_masks(emb: Embedding, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """Split usable embedded rows into inside/outside masks for an interval.
+def score_interval(series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig) -> float:
+    """Length-weighted divergence of one interval against the rest of the series (naive path).
 
     A row belongs to the interval iff its anchor time does; rows flagged
-    missing are excluded from both sides.
+    missing are excluded from both sides. NumericalError if unscorable.
     """
-    anchored = (emb.times >= interval.a) & (emb.times < interval.b)
-    inside = anchored & ~emb.missing
-    outside = ~anchored & ~emb.missing
-    _check_row_counts(interval, int(inside.sum()), int(outside.sum()), emb.width)
-    return inside, outside
-
-
-def score_interval(series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig) -> float:
-    """Length-weighted divergence of one interval against the rest of the series (naive path)."""
     interval.validate_within(series.n)
     emb = embed(series, cfg)
-    inside, outside = interval_row_masks(emb, interval)
-    return _score_pair(interval, _moments(emb.values[inside]), _moments(emb.values[outside]))
+    anchored = (emb.times >= interval.a) & (emb.times < interval.b)
+    inside, outside = anchored & ~emb.missing, ~anchored & ~emb.missing
+    _check_row_counts(interval, int(inside.sum()), int(outside.sum()), emb.width)
+    mu_in, cov_in = _moments(emb.values[inside])
+    mu_out, cov_out = _moments(emb.values[outside])
+    chol = jittered_cholesky(np.stack([cov_in, cov_out], axis=-1))
+    score = _scores(mu_in[:, None], chol[..., :1], mu_out[:, None], chol[..., 1:], interval.length)
+    if np.isnan(score[0]):
+        raise unscorable(interval)
+    return float(score[0])
 
 
 def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +111,7 @@ def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
-    """Interval scores of fitted (mean, factor) pairs, one pair or a stack.
+    """Interval scores of a stack of fitted (mean, factor) pairs.
 
     NaN where a factor is NaN (its covariance did not factor) or the
     divergence is below -1e-6, more than round-off; a divergence between
@@ -122,33 +121,44 @@ def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
     return interval_score(np.where(kl < -1e-6, np.nan, np.maximum(kl, 0.0)), length)
 
 
-def _score_pair(interval: Interval, inside, outside) -> float:
-    """One interval's score from each side's (mean, covariance); NumericalError if unscorable."""
-    (mu_in, cov_in), (mu_out, cov_out) = inside, outside
-    chol = jittered_cholesky(np.stack([cov_in, cov_out], axis=-1))
-    score = float(_scores(mu_in, chol[..., 0], mu_out, chol[..., 1], interval.length))
-    if np.isnan(score):
-        raise NumericalError(
-            f"interval [{interval.a}, {interval.b}) is unscorable: a covariance does not "
-            f"factor after the jitter, or the divergence is negative"
-        )
-    return score
+def unscorable(interval: Interval) -> NumericalError:
+    """The error of an interval whose fitted pair :func:`_scores` refuses."""
+    return NumericalError(
+        f"interval [{interval.a}, {interval.b}) is unscorable: a covariance does not "
+        f"factor after the jitter, or the divergence is negative"
+    )
+
+
+def _stack_moments(rows: np.ndarray, usable: np.ndarray):
+    """Count (P,), mean (w, P) and centered second moment (w, w, P) of the
+    usable rows of each of P row sets (P, r, w), stack last.
+
+    Each row is weighted by its usable flag, so an unusable row must hold
+    finite values. A set with no usable row gets zero moments.
+    """
+    count = usable.sum(axis=1)
+    mean = np.einsum("pr,prw->pw", usable, rows) / np.maximum(count, 1)[:, None]
+    centered = rows - mean[:, None, :]
+    centered *= usable[..., None]
+    m2 = np.empty((rows.shape[2], rows.shape[2], rows.shape[0]))
+    np.matmul(np.swapaxes(centered, 1, 2), centered, out=np.moveaxis(m2, -1, 0))
+    return count, mean.T, m2
 
 
 class LocalRescorer:
     """Re-scores one interval after cells inside it change, touching only what changes.
 
     A change confined to [a, b) alters only the embedded rows anchored in
-    [a, b + history). The count, mean and centered second moment (M2) of the
-    other usable outside rows are computed once. Each re-score re-embeds the
-    changed rows, takes the moments of the inside ones, and merges the
-    changed outside ones into the fixed moments with the pairwise update of
-    Chan et al.; raw moments E[xx'] - mu mu' would lose precision when the
-    data sit far from zero. Both covariances are then factored once and
-    scored as in :func:`score_interval`, whose result this equals on the
-    modified series up to round-off, with the same ScoringError checks and
-    the same NumericalError for an unscorable pair. Read-only after
-    construction; safe to share between threads.
+    [a, b + history); the moments of the other usable outside rows are
+    computed once. :meth:`score` writes a stack of P changes (a chunk of
+    subsets times their draws) into P copies of the cells those rows read,
+    re-embeds them in one call and weights the usable rows, so every copy
+    keeps its shape. The changed outside rows are merged into the fixed
+    moments with the pairwise update of Chan et al., which keeps its
+    precision when the data sit far from zero. Each side is factored as one
+    stack and scored as in :func:`score_interval`, whose result this equals
+    on each modified series up to round-off. Read-only after construction;
+    safe to share between threads.
     """
 
     def __init__(self, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig):
@@ -162,39 +172,60 @@ class LocalRescorer:
         hi = min(interval.b + history, series.n)
         self.n_inside = max(0, interval.b - lo)  # changed rows anchored inside
         fixed = ((emb.times < lo) | (emb.times >= hi)) & ~emb.missing
-        rows = emb.values[fixed]
-        self.fixed_count = rows.shape[0]
-        self.fixed_mean = rows.mean(axis=0) if self.fixed_count else np.zeros(self.width)
-        centered = rows - self.fixed_mean
-        self.fixed_m2 = centered.T @ centered
+        values = np.where(fixed[:, None], emb.values, 0.0)[None]
+        (self.fixed_count,), self.fixed_mean, self.fixed_m2 = _stack_moments(values, fixed[None])
         self.block_start = lo - history
-        self.block_values = series.values[self.block_start : hi]
         self.block_missing = series.missing[self.block_start : hi]
+        # Missing cells hold NaN, and NaN times a zero weight is still NaN.
+        self.block_values = np.where(self.block_missing, 0.0, series.values[self.block_start : hi])
+        self.interval_rows = np.arange(interval.a, interval.b) - self.block_start
 
-    def score(self, columns, block: np.ndarray) -> float:
-        """Score of the interval with ``block`` written into ``columns`` over [a, b)."""
-        values = self.block_values.copy()
+    def check(self, columns) -> None:
+        """ScoringError unless both sides can be fitted once ``columns`` are replaced.
+
+        The usable rows do not depend on the values written.
+        """
         missing = self.block_missing.copy()
-        rows = slice(self.interval.a - self.block_start, self.interval.b - self.block_start)
-        cols = np.asarray(columns)
-        values[rows, cols] = block
-        missing[rows, cols] = False
+        missing[self.interval_rows[:, None], np.asarray(columns)] = False
+        usable = ~delay_rows(self.block_values, missing, self.cfg)[1]
+        n_in = int(usable[: self.n_inside].sum())
+        n_out = self.fixed_count + int(usable[self.n_inside :].sum())
+        _check_row_counts(self.interval, n_in, n_out, self.width)
+
+    def score(self, columns, blocks: np.ndarray) -> np.ndarray:
+        """Scores of the interval with ``blocks[p]`` written into ``columns[p]`` over [a, b).
+
+        ``columns`` is (P, k) and ``blocks`` (P, |interval|, k); returns P
+        scores, NaN where a pair is unscorable. Every row of ``columns`` must
+        have passed :meth:`check`.
+        """
+        (mu_in, cov_in), (mu_out, cov_out) = self._fit_stack(np.asarray(columns), blocks)
+        chol_in, chol_out = jittered_cholesky(cov_in), jittered_cholesky(cov_out)
+        return _scores(mu_in, chol_in, mu_out, chol_out, self.interval.length)
+
+    def _fit_stack(self, columns: np.ndarray, blocks: np.ndarray):
+        """Inside and outside (means (w, P), covariances (w, w, P)) of each changed copy."""
+        pairs = np.arange(len(columns))[:, None, None]
+        cells = pairs, self.interval_rows[None, :, None], columns[:, None, :]
+        values = np.repeat(self.block_values[None], len(columns), axis=0)
+        missing = np.repeat(self.block_missing[None], len(columns), axis=0)
+        values[cells] = blocks
+        missing[cells] = False
         emb_values, emb_missing = delay_rows(values, missing, self.cfg)
         usable = ~emb_missing
-        inside = emb_values[: self.n_inside][usable[: self.n_inside]]
-        changed = emb_values[self.n_inside :][usable[self.n_inside :]]
-        n_out = self.fixed_count + changed.shape[0]
-        _check_row_counts(self.interval, inside.shape[0], n_out, self.width)
+        k = self.n_inside
+        n_in, mu_in, cov_in = _stack_moments(emb_values[:, :k], usable[:, :k])
+        n_changed, mu_changed, cov_out = _stack_moments(emb_values[:, k:], usable[:, k:])
 
-        mean, m2 = self.fixed_mean, self.fixed_m2
-        if changed.shape[0]:
-            changed_mean = changed.mean(axis=0)
-            centered = changed - changed_mean
-            delta = changed_mean - mean
-            weight = self.fixed_count * changed.shape[0] / n_out
-            mean = mean + delta * (changed.shape[0] / n_out)
-            m2 = m2 + centered.T @ centered + weight * np.outer(delta, delta)
-        return _score_pair(self.interval, _moments(inside), (mean, m2 / n_out))
+        n_out = self.fixed_count + n_changed
+        delta = mu_changed - self.fixed_mean
+        mu_out = self.fixed_mean + delta * (n_changed / n_out)
+        weight = self.fixed_count * n_changed / n_out
+        cov_out += self.fixed_m2
+        cov_out += weight * delta[:, None, :] * delta[None, :, :]
+        cov_in /= n_in
+        cov_out /= n_out
+        return (mu_in, cov_in), (mu_out, cov_out)
 
 
 class PrefixScanner:
@@ -243,7 +274,7 @@ class PrefixScanner:
         cnt_out = self.total_count - cnt_in
         # More inside rows than the width (which implies at least 2): with
         # no more, the inside covariance is singular and only the jitter
-        # would rank the candidate. interval_row_masks refuses fewer than
+        # would rank the candidate. score_interval refuses fewer than
         # the width, so the two agree on every candidate scored here.
         ok = (cnt_in > self.width) & (cnt_out >= 2)
         out = np.full(starts.shape, np.nan)

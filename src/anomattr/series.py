@@ -145,16 +145,13 @@ def delay_rows(
     """Delay-embedded rows of an (m, d) block and their missing flags.
 
     Row ``i`` is anchored at block time ``i + history``; see :class:`Embedding`.
+    A stack of blocks (P, m, d) gives (P, rows, kappa * d) and (P, rows).
     """
-    m = values.shape[0]
-    lead = cfg.history
-    parts = []
-    miss_parts = []
-    for k in range(cfg.kappa):
-        off = k * cfg.tau
-        parts.append(values[lead - off : m - off])
-        miss_parts.append(missing[lead - off : m - off])
-    return np.hstack(parts), np.hstack(miss_parts).any(axis=1)
+    m = values.shape[-2]
+    lags = [slice(cfg.history - k * cfg.tau, m - k * cfg.tau) for k in range(cfg.kappa)]
+    values = np.concatenate([values[..., lag, :] for lag in lags], axis=-1)
+    missing = np.concatenate([missing[..., lag, :] for lag in lags], axis=-1)
+    return values, missing.any(axis=-1)
 
 
 def embed(series: MultivariateSeries, cfg: EmbeddingConfig) -> Embedding:

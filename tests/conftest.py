@@ -35,12 +35,15 @@ def kl_divergence(p, q) -> float:
     """Closed-form KL(p || q) of two ``(mean, cov)`` pairs as given (no jitter).
 
     Goes through the package kernel (Cholesky factors, then
-    ``kl_from_factors``); round-off below zero is clamped to 0.
+    ``kl_from_factors`` on a stack of one pair); round-off below zero is
+    clamped to 0.
     """
     (mean_p, cov_p), (mean_q, cov_q) = p, q
     if len(mean_p) != len(mean_q):
         raise ValueError(f"dimension mismatch: {len(mean_p)} vs {len(mean_q)}")
-    value = float(kl_from_factors(mean_p, cholesky(cov_p, "p"), mean_q, cholesky(cov_q, "q")))
+    means = [np.asarray(mean, dtype=float)[:, None] for mean in (mean_p, mean_q)]
+    chol_p, chol_q = (cholesky(cov, side)[..., None] for cov, side in ((cov_p, "p"), (cov_q, "q")))
+    value = float(kl_from_factors(means[0], chol_p, means[1], chol_q)[0])
     assert value > -1e-6, f"divergence evaluated to {value:.3g}"
     return max(0.0, value)
 

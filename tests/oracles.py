@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the code paths under test: divergences
-via explicit inverses or sampling, conditionals via the precision matrix,
+Everything here deliberately avoids the code paths under test: factors one
+matrix at a time through LAPACK, divergences via explicit inverses or sampling, conditionals via the precision matrix,
 covariances via plain loops over rows.
 """
 
@@ -20,6 +20,18 @@ def kl_by_inverse(mean_p, cov_p, mean_q, cov_q) -> float:
     trace = np.trace(inv_q @ cov_p)
     logdet = np.linalg.slogdet(cov_q)[1] - np.linalg.slogdet(cov_p)[1]
     return 0.5 * (maha + trace + logdet - m)
+
+
+def cholesky_each(covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix of an (m, m, N) stack, one LAPACK
+    call per matrix; NaN for a matrix that is not positive definite."""
+    out = np.full_like(covs, np.nan)
+    for k in range(covs.shape[-1]):
+        try:
+            out[..., k] = np.linalg.cholesky(covs[..., k])
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
 
 def kl_by_sampling(mean_p, cov_p, mean_q, cov_q, n_samples, rng) -> tuple[float, float]:

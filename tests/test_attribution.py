@@ -152,6 +152,28 @@ class TestAttribute:
             means = [s.mean_score for s in group]
             assert means == sorted(means)
 
+    @staticmethod
+    def failing_draws(monkeypatch, failed):
+        """Make LocalRescorer.score give a NaN jittered factor to the (columns,
+        draw) pairs in ``failed``, with the draws of each subset counted in
+        stack order."""
+        real_score, real_cholesky = LocalRescorer.score, detector.jittered_cholesky
+
+        def flaky_score(rescorer, columns, blocks):
+            keys = [tuple(c) for c in columns]
+            hit = [p for p, key in enumerate(keys) if (key, keys[:p].count(key)) in failed]
+
+            def failing(covs):
+                chol = real_cholesky(covs)
+                chol[..., hit] = np.nan
+                return chol
+
+            with monkeypatch.context() as m:
+                m.setattr(detector, "jittered_cholesky", failing)
+                return real_score(rescorer, columns, blocks)
+
+        monkeypatch.setattr(LocalRescorer, "score", flaky_score)
+
     def test_failed_subsets_are_contained(self, monkeypatch):
         """A subset that fails in its draws (1,), in its hidden-cell precision's
         Cholesky (2,) or in a re-score's jittered factor (3,) records its error;
@@ -159,7 +181,6 @@ class TestAttribute:
         series = injected_series(seed=2)
         iv = Interval(600, 660)
         real = WindowModel.draws
-        real_score = LocalRescorer.score
 
         def refusing(a):
             raise np.linalg.LinAlgError("not positive definite")
@@ -173,15 +194,8 @@ class TestAttribute:
                 m.setattr(np.linalg, "cholesky", refusing)
                 return real(model, subset, seeds)
 
-        def flaky_score(rescorer, columns, block):
-            if tuple(columns) != (3,):
-                return real_score(rescorer, columns, block)
-            with monkeypatch.context() as m:
-                m.setattr(detector, "jittered_cholesky", lambda covs: np.full_like(covs, np.nan))
-                return real_score(rescorer, columns, block)
-
         monkeypatch.setattr(WindowModel, "draws", flaky)
-        monkeypatch.setattr(LocalRescorer, "score", flaky_score)
+        self.failing_draws(monkeypatch, {((3,), 0), ((3,), 1)})
         report = attribute(series, detection_for(iv), AttributionConfig(realizations=2, seed=1))
         failed = [s for s in report.subsets if s.subset.indices == (1,)][0]
         assert failed.mean_score is None
@@ -193,6 +207,22 @@ class TestAttribute:
             assert message in failed.error
         others = [s for s in report.subsets if s.subset.indices not in ((1,), (2,), (3,))]
         assert all(s.mean_score is not None for s in others)
+
+    def test_one_failed_draw_fails_only_its_subset(self, monkeypatch):
+        """Draw 1 of (0, 2) fails inside the stack it shares with every other
+        subset of size 2; only (0, 2) records the error, and the others keep
+        the scores they get without the failure."""
+        series = injected_series(seed=2)
+        iv = Interval(600, 660)
+        cfg = AttributionConfig(realizations=2, seed=1)
+        want = attribute(series, detection_for(iv), cfg)
+        self.failing_draws(monkeypatch, {((0, 2), 1)})
+        got = attribute(series, detection_for(iv), cfg)
+        for before, after in zip(want.subsets, got.subsets):
+            if after.subset.indices == (0, 2):
+                assert after.mean_score is None and "unscorable" in after.error
+            else:
+                assert after.error is None and after.mean_score == before.mean_score
 
     def test_needs_two_variables(self, rng):
         series = make_series(rng.standard_normal((200, 1)))

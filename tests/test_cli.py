@@ -39,6 +39,16 @@ def past_the_end(source, tmp_path) -> list[str]:
     return ["--detections", str(path)]
 
 
+#: Malformed detections files: (content, the problem the error names).
+BAD_DETECTIONS = {
+    "invalid_json": ("{not json", "line 1 column 2"),
+    "missing_b": (json.dumps({"detections": [{"a": 50, "score": 1.0, "rank": 1}]}),
+                  "missing field 'b'"),
+    "empty_interval": (json.dumps({"detections": [{"a": 50, "b": 20, "score": 1.0, "rank": 1}]}),
+                       "invalid interval [50, 20)"),
+}
+
+
 @pytest.fixture
 def sim_dir(tmp_path):
     spec = tmp_path / "spec.cfg"
@@ -267,7 +277,7 @@ class TestAttribute:
         def refuse(*args, **kwargs):
             raise AssertionError("a subset was scored")
 
-        monkeypatch.setattr(attribution, "_score_subset", refuse)
+        monkeypatch.setattr(attribution, "_score_chunk", refuse)
         code = main(
             ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path),
              "--interval", "500:550", "--bins", "1"]
@@ -341,3 +351,19 @@ class TestBaseline:
             ["baseline", "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DETECTIONS))
+@pytest.mark.parametrize("command", ["attribute", "baseline"])
+def test_malformed_detections_file_exits_2(sim_dir, tmp_path, capsys, command, case):
+    content, problem = BAD_DETECTIONS[case]
+    path = tmp_path / "bad_detections.json"
+    path.write_text(content)
+    code = main(
+        [command, "--input", str(sim_dir / "series.csv"), "--output-dir", str(tmp_path / "out"),
+         "--detections", str(path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: detections file {path}")
+    assert problem in err

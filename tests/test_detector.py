@@ -13,7 +13,8 @@ from anomattr import (
     generate,
     score_interval,
 )
-from anomattr import detector, gaussian
+from anomattr import AttributionConfig, Detection, VariableSubset, attribute, detector
+from anomattr.attribution import RESCORE_STACK, _summarize
 from anomattr.detector import LocalRescorer, PrefixScanner
 from anomattr.errors import ConfigError, NumericalError, ScoringError
 from anomattr.series import embed
@@ -116,7 +117,7 @@ class TestUnderdetermined:
         with pytest.raises(ScoringError, match="width"):
             score_interval(clumped, iv, EMB)
         with pytest.raises(ScoringError, match="width"):
-            LocalRescorer(clumped, iv, EMB).score((0,), np.zeros((iv.length, 1)))
+            LocalRescorer(clumped, iv, EMB).check((0,))
 
     def test_detect_ranks_only_determined_candidates(self, clumped):
         emb = embed(clumped, EMB)
@@ -129,13 +130,20 @@ class TestUnderdetermined:
 
 
 class TestLocalRescorer:
-    """The local re-score equals a full re-score of the modified series."""
+    """The local re-score equals a full re-score of each modified series."""
 
     @staticmethod
-    def check(series, interval, subset, cfg, sample):
-        want = score_interval(apply_replacement(series, interval, subset, sample), interval, cfg)
-        got = LocalRescorer(series, interval, cfg).score(subset, sample)
-        assert got == pytest.approx(want, rel=1e-9)
+    def check(series, interval, cfg, cases):
+        """Scores the (subset, sample) cases of one interval as one stack."""
+        rescorer = LocalRescorer(series, interval, cfg)
+        for subset, _ in cases:
+            rescorer.check(subset)
+        got = rescorer.score([subset for subset, _ in cases], np.stack([s for _, s in cases]))
+        want = [
+            score_interval(apply_replacement(series, interval, subset, sample), interval, cfg)
+            for subset, sample in cases
+        ]
+        assert got.tolist() == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("tau", [1, 2])
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
@@ -149,9 +157,13 @@ class TestLocalRescorer:
         # start or the end of the series, and one in the middle.
         for interval in (Interval(0, 25), Interval(3, 30), Interval(120, 150),
                          Interval(n - 27, n - 2), Interval(n - 25, n)):
-            for subset in ((0,), (1, 2)):
-                sample = offset + rng.standard_normal((interval.length, len(subset)))
-                self.check(series, interval, subset, cfg, sample)
+            for size in (1, 2):
+                subsets = [(0,), (2,)] if size == 1 else [(1, 2), (0, 1)]
+                cases = [
+                    (subset, offset + rng.standard_normal((interval.length, size)))
+                    for subset in subsets
+                ]
+                self.check(series, interval, cfg, cases)
 
     def test_replacement_makes_missing_rows_usable(self, rng):
         n, d = 300, 3
@@ -164,7 +176,39 @@ class TestLocalRescorer:
         before = (~embed(series, EMB).missing).sum()
         after = (~embed(apply_replacement(series, interval, (0,), sample), EMB).missing).sum()
         assert after > before
-        self.check(series, interval, (0,), EMB, sample)
+        self.check(series, interval, EMB, [((0,), sample), ((1,), sample)])
+
+    def test_pair_alone_matches_pair_in_a_stack(self, rng):
+        series, interval = shifted_series(rng, n=300, d=3, a=140, b=170, shift=3.0)
+        rescorer = LocalRescorer(series, interval, EMB)
+        columns = ([(0, 2), (1, 2), (0, 1)] * 22)[:RESCORE_STACK]
+        blocks = rng.standard_normal((len(columns), interval.length, 2))
+        stacked = rescorer.score(columns, blocks)
+        for p in (0, 31, len(columns) - 1):
+            alone = rescorer.score(columns[p : p + 1], blocks[p : p + 1])
+            np.testing.assert_allclose(alone, stacked[p : p + 1], rtol=1e-12)
+
+    def test_missing_cells_in_fixed_and_changed_rows(self, rng):
+        """Missing cells hold NaN: in the fixed rows, inside the interval in
+        columns that are not replaced, and in the changed rows past it. Every
+        subset is still scored, and as a full re-score would score it."""
+        n, d = 300, 3
+        missing = np.zeros((n, d), dtype=bool)
+        missing[[40, 250], 0] = True  # fixed rows
+        missing[[125, 131], 1] = True  # inside the interval
+        missing[[151, 150], 2] = True  # changed rows after it
+        values = np.where(missing, np.nan, rng.standard_normal((n, d)))
+        series = make_series(values, missing=missing)
+        interval = Interval(120, 150)
+        report = attribute(
+            series,
+            Detection(interval, 1.0, 1),
+            AttributionConfig(embedding=EMB, realizations=2, seed=0),
+        )
+        assert [s.error for s in report.subsets] == [None] * len(report.subsets)
+        cases = [(subset, rng.standard_normal((interval.length, len(subset))))
+                 for subset in ((0,), (1,), (2,))]
+        self.check(series, interval, EMB, cases)
 
 
 class TestOneFactorization:
@@ -181,21 +225,23 @@ class TestOneFactorization:
         model = WindowModel.fit(series, interval, EMB)
         paths = {
             "score_interval": lambda: score_interval(series, interval, EMB),
-            "local_rescore": lambda: rescorer.score((0, 2), block),
+            "local_rescore": lambda: _summarize(
+                VariableSubset((0, 2)), rescorer.score([(0, 2)], block[None]), interval
+            ),
             "sampler": lambda: model.draws((1,), [0, 1, 2]),
         }
         return series, interval, paths
 
     @pytest.mark.parametrize("path", ["score_interval", "local_rescore"])
     def test_two_factorizations_per_score(self, case, monkeypatch, path):
-        real = np.linalg.cholesky
+        real = detector.jittered_cholesky
         factored = []
 
-        def counting(a):
-            factored.append(int(np.prod(np.shape(a)[:-2])))
-            return real(a)
+        def counting(covs):
+            factored.append(covs.shape[2])
+            return real(covs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(detector, "jittered_cholesky", counting)
         case[2][path]()
         assert sum(factored) == 2
 
@@ -254,12 +300,12 @@ class TestOneFactorization:
         assert got[[0, 2]].tolist() == want[[0, 2]].tolist()
 
     def test_scan_drops_a_stacked_candidate_that_does_not_factor(self, case, monkeypatch):
-        """With a stack past the crossover, the stack-last Cholesky gives the
-        one indefinite covariance a NaN factor and leaves the others as they were."""
+        """In a large stack, the stack-last Cholesky gives the one indefinite
+        covariance a NaN factor and leaves the others as they were."""
         series, interval, _ = case
         scanner = PrefixScanner(embed(series, EMB))
         starts = np.arange(0, series.n - interval.length + 1, 3)
-        assert starts.size >= max(80, gaussian.STACK_CROSSOVER)
+        assert starts.size >= 80
         want = scanner.score_batch(starts, interval.length)
         assert np.isfinite(want).all()
         real = detector.jittered_cholesky

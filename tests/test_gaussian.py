@@ -1,5 +1,4 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from scipy.stats import norm
 
 from anomattr import interval_score
 from anomattr.detector import _moments
-from anomattr import gaussian
 from anomattr.gaussian import (
     JITTER_FLOOR,
     jitter_epsilon,
@@ -23,7 +21,7 @@ import oracles
 from conftest import kl_divergence
 
 
-#: One stack size below gaussian.STACK_CROSSOVER and one above it.
+#: A small stack and a large one.
 STACK_SIZES = [6, 80]
 
 
@@ -37,7 +35,7 @@ def fit(rows):
     Returns (mean, jittered covariance, lower factor of that covariance).
     """
     mean, cov = _moments(rows)
-    chol = jittered_cholesky(cov.copy())
+    chol = jittered_cholesky(cov[..., None].copy())[..., 0]
     cov.flat[:: len(cov) + 1] += jitter_epsilon(cov)  # the covariance that was factored
     return mean, cov, chol
 
@@ -168,9 +166,8 @@ class TestKl:
 
 
 class TestStackedKl:
-    """The stacked kernels agree with kl_divergence pair by pair, on a stack
-    below the crossover (one LAPACK call per matrix) and one above it
-    (factored and solved across the stack)."""
+    """The stacked kernels agree with kl_divergence pair by pair, on a small
+    stack and a large one."""
 
     @staticmethod
     def stack(rng, k, dim):
@@ -218,21 +215,18 @@ class TestStackedKl:
             assert got[i] == pytest.approx(want, rel=1e-10)
 
 
-class TestStrategies:
-    """The two ways a stack is factored and scored, one LAPACK call per matrix
-    and across the stack, give the same factors, divergences and NaN pattern."""
-
-    def test_stack_sizes_straddle_the_crossover(self):
-        assert STACK_SIZES[0] < gaussian.STACK_CROSSOVER <= STACK_SIZES[1]
+class TestKernelReference:
+    """The one factor/KL kernel against the per-matrix reference: LAPACK's
+    Cholesky one matrix at a time and the inverse-based divergence."""
 
     @given(
         m=st.integers(1, 30),
-        k=st.sampled_from([2, 6, 80]),
+        k=st.sampled_from([1, 2, 6, 80]),
         seed=st.integers(0, 2**31 - 1),
         bad=st.sets(st.integers(0, 1), max_size=2),
     )
     @settings(max_examples=40, deadline=None)
-    def test_both_strategies_agree(self, m, k, seed, bad):
+    def test_matches_per_matrix_reference(self, m, k, seed, bad):
         rng = np.random.default_rng(seed)
         mu_p, cov_p, mu_q, cov_q = TestStackedKl.stack(rng, k, m)
         # Indefinite matrices (one eigenvalue -1) in a few places: no jitter fixes them.
@@ -242,22 +236,27 @@ class TestStrategies:
             for i in hit[side::2]:
                 basis, _ = np.linalg.qr(rng.normal(size=(m, m)))
                 cov[..., i] = (basis * np.r_[-1.0, np.ones(m - 1)]) @ basis.T
-        got = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for crossover in (1, k + 1):  # across the stack, then one matrix at a time
-                with mock.patch.object(gaussian, "STACK_CROSSOVER", crossover):
-                    chol_p = jittered_cholesky(cov_p.copy())
-                    chol_q = jittered_cholesky(cov_q.copy())
-                    got[crossover] = chol_p, chol_q, kl_from_factors(mu_p, chol_p, mu_q, chol_q)
-        for across, each in zip(got[1], got[k + 1]):
-            assert np.array_equal(np.isnan(across), np.isnan(each))
-        for across, each in zip(got[1][:2], got[k + 1][:2]):
+            chol_p = jittered_cholesky(cov_p.copy())
+            chol_q = jittered_cholesky(cov_q.copy())
+            kl = kl_from_factors(mu_p, chol_p, mu_q, chol_q)
+        diag = np.arange(m)
+        for cov in (cov_p, cov_q):  # the covariances the kernel factored
+            cov[diag, diag] += jitter_epsilon(cov)
+        want_p, want_q = oracles.cholesky_each(cov_p), oracles.cholesky_each(cov_q)
+        for got, want in ((chol_p, want_p), (chol_q, want_q)):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
             # a factor entry near zero carries the round-off of the largest ones
-            atol = 1e-12 * np.nanmax(np.abs(each), initial=0.0)
-            np.testing.assert_allclose(across, each, rtol=1e-12, atol=atol)
-        np.testing.assert_allclose(got[1][2], got[k + 1][2], rtol=1e-12)
-        failed = np.isnan(got[1][2])
+            atol = 1e-12 * np.nanmax(np.abs(want), initial=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        failed = np.isnan(want_p[0, 0]) | np.isnan(want_q[0, 0])
+        want_kl = [
+            np.nan if failed[i]
+            else oracles.kl_by_inverse(mu_p[:, i], cov_p[..., i], mu_q[:, i], cov_q[..., i])
+            for i in range(k)
+        ]
+        np.testing.assert_allclose(kl, want_kl, rtol=1e-12)
         assert failed.sum() == len({int(i) for side in bad for i in hit[side::2]})
 
 
