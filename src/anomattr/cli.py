@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -146,14 +147,17 @@ def _load_detections(cfg: RunConfig, series: MultivariateSeries) -> list[Detecti
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return [
-            Detection(
-                interval=_check_within(Interval(rec["a"], rec["b"]), series),
-                score=rec["score"],
-                rank=rec["rank"],
-            )
-            for rec in payload["detections"]
-        ]
+        detections: list[Detection] = []
+        for rec in payload["detections"]:
+            interval = _check_within(Interval(rec["a"], rec["b"]), series)
+            score, rank = rec["score"], rec["rank"]
+            # The rank names output files; JSON booleans are not numbers here.
+            if type(rank) is not int or rank < 1 or rank in {d.rank for d in detections}:
+                raise ValueError(f"rank must be a distinct integer >= 1, got {rank!r}")
+            if type(score) not in (int, float) or not math.isfinite(score):
+                raise ValueError(f"score must be a finite number, got {score!r}")
+            detections.append(Detection(interval=interval, score=float(score), rank=rank))
+        return detections
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"detections file {path} is malformed: {problem}") from None
@@ -215,6 +219,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
         series, zparams = zscore(raw_series)
     else:
         series, zparams = raw_series, None
+    detections = _load_detections(cfg, series)
     out_dir = _ensure_output_dir(cfg)
     handler = _attach_log_file(out_dir)
     try:
@@ -227,7 +232,6 @@ def cmd_attribute(cfg: RunConfig) -> int:
             baseline_bins=cfg.bins,
             threads=cfg.threads,
         )
-        detections = _load_detections(cfg, series)
         if cfg.interval is not None:
             detections = [
                 Detection(

@@ -2,13 +2,14 @@
 
 Every candidate (start, length) on the scan grid is scored by the
 length-weighted divergence between the Gaussian fitted to embedded rows
-anchored inside the interval and the one fitted to the rest. The scan
-reuses centered prefix sums of the embedded rows and their outer products,
-so each candidate costs O(width^3) regardless of its length. Scan, naive
-score and local re-score go one way: moments, one jittered factor per
-covariance (:mod:`.gaussian`), the divergence, and one rule that turns it
-into a score (:func:`_scores`). The scan is required (and tested) to match
-naive per-interval re-estimation.
+anchored inside the interval and the one fitted to the rest. Scan, naive
+score and local re-score go one way: rows centered by one rule
+(:func:`_centered`), a two-pass fit from rows (:func:`_stack_moments`) or a
+one-pass fit from sums (:func:`_fit`), one jittered factor per covariance
+(:mod:`.gaussian`), the divergence, and one rule that turns it into a score
+(:func:`_scores`). The scan's prefix sums make each candidate cost
+O(width^3) whatever its length; it is required (and tested) to match naive
+per-interval re-estimation.
 """
 
 from __future__ import annotations
@@ -87,27 +88,28 @@ def score_interval(series: MultivariateSeries, interval: Interval, cfg: Embeddin
     """Length-weighted divergence of one interval against the rest of the series (naive path).
 
     A row belongs to the interval iff its anchor time does; rows flagged
-    missing are excluded from both sides. NumericalError if unscorable.
+    missing are excluded from both sides, which are fitted two-pass as one
+    stack. NumericalError if unscorable.
     """
     interval.validate_within(series.n)
     emb = embed(series, cfg)
     anchored = (emb.times >= interval.a) & (emb.times < interval.b)
-    inside, outside = anchored & ~emb.missing, ~anchored & ~emb.missing
-    _check_row_counts(interval, int(inside.sum()), int(outside.sum()), emb.width)
-    mu_in, cov_in = _moments(emb.values[inside])
-    mu_out, cov_out = _moments(emb.values[outside])
-    chol = jittered_cholesky(np.stack([cov_in, cov_out], axis=-1))
-    score = _scores(mu_in[:, None], chol[..., :1], mu_out[:, None], chol[..., 1:], interval.length)
+    sides = np.stack([anchored & ~emb.missing, ~anchored & ~emb.missing])
+    rows = _centered(emb)[1]
+    counts, mean, m2 = _stack_moments(np.broadcast_to(rows, (2, *rows.shape)), sides)
+    _check_row_counts(interval, int(counts[0]), int(counts[1]), emb.width)
+    chol = jittered_cholesky(m2 / counts)
+    score = _scores(mean[:, :1], chol[..., :1], mean[:, 1:], chol[..., 1:], interval.length)
     if np.isnan(score[0]):
         raise unscorable(interval)
     return float(score[0])
 
 
-def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and maximum-likelihood covariance of complete rows."""
-    mean = rows.sum(axis=0) / rows.shape[0]
-    centered = rows - mean
-    return mean, centered.T @ centered / rows.shape[0]
+def _centered(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the usable embedded rows, and the rows minus it, zeroed where unusable."""
+    valid = ~emb.missing
+    center = emb.values[valid].mean(axis=0) if valid.any() else 0.0
+    return center, np.where(valid[:, None], emb.values - center, 0.0)
 
 
 def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
@@ -149,16 +151,16 @@ class LocalRescorer:
     """Re-scores one interval after cells inside it change, touching only what changes.
 
     A change confined to [a, b) alters only the embedded rows anchored in
-    [a, b + history); the moments of the other usable outside rows are
-    computed once. :meth:`score` writes a stack of P changes (a chunk of
-    subsets times their draws) into P copies of the cells those rows read,
-    re-embeds them in one call and weights the usable rows, so every copy
-    keeps its shape. The changed outside rows are merged into the fixed
-    moments with the pairwise update of Chan et al., which keeps its
-    precision when the data sit far from zero. Each side is factored as one
-    stack and scored as in :func:`score_interval`, whose result this equals
-    on each modified series up to round-off. Read-only after construction;
-    safe to share between threads.
+    [a, b + history). The other usable outside rows are fixed: their count,
+    sum and outer-product sum are kept once, centered by :func:`_centered`.
+    :meth:`score` writes a stack of P changes (a chunk of subsets times their
+    draws) into P copies of the cells those rows read, re-embeds them in one
+    call and weights the usable rows, so every copy keeps its shape. Its
+    inside is fitted two-pass, as in :func:`score_interval`; its outside is
+    the fixed sums plus the changed rows' sums, fitted one-pass by the
+    scan's :func:`_fit`. The result equals :func:`score_interval` on each
+    modified series up to round-off. Read-only after construction; safe to
+    share between threads.
     """
 
     def __init__(self, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig):
@@ -171,9 +173,11 @@ class LocalRescorer:
         lo = max(interval.a, history)  # first anchor whose row can change
         hi = min(interval.b + history, series.n)
         self.n_inside = max(0, interval.b - lo)  # changed rows anchored inside
-        fixed = ((emb.times < lo) | (emb.times >= hi)) & ~emb.missing
-        values = np.where(fixed[:, None], emb.values, 0.0)[None]
-        (self.fixed_count,), self.fixed_mean, self.fixed_m2 = _stack_moments(values, fixed[None])
+        self.center, rows = _centered(emb)
+        fixed = rows[((emb.times < lo) | (emb.times >= hi)) & ~emb.missing]
+        self.fixed_count = len(fixed)
+        self.fixed_sum = fixed.sum(axis=0)[:, None]
+        self.fixed_outer = (fixed.T @ fixed)[..., None]
         self.block_start = lo - history
         self.block_missing = series.missing[self.block_start : hi]
         # Missing cells hold NaN, and NaN times a zero weight is still NaN.
@@ -199,12 +203,7 @@ class LocalRescorer:
         scores, NaN where a pair is unscorable. Every row of ``columns`` must
         have passed :meth:`check`.
         """
-        (mu_in, cov_in), (mu_out, cov_out) = self._fit_stack(np.asarray(columns), blocks)
-        chol_in, chol_out = jittered_cholesky(cov_in), jittered_cholesky(cov_out)
-        return _scores(mu_in, chol_in, mu_out, chol_out, self.interval.length)
-
-    def _fit_stack(self, columns: np.ndarray, blocks: np.ndarray):
-        """Inside and outside (means (w, P), covariances (w, w, P)) of each changed copy."""
+        columns = np.asarray(columns)
         pairs = np.arange(len(columns))[:, None, None]
         cells = pairs, self.interval_rows[None, :, None], columns[:, None, :]
         values = np.repeat(self.block_values[None], len(columns), axis=0)
@@ -212,29 +211,25 @@ class LocalRescorer:
         values[cells] = blocks
         missing[cells] = False
         emb_values, emb_missing = delay_rows(values, missing, self.cfg)
+        emb_values -= self.center
         usable = ~emb_missing
         k = self.n_inside
-        n_in, mu_in, cov_in = _stack_moments(emb_values[:, :k], usable[:, :k])
-        n_changed, mu_changed, cov_out = _stack_moments(emb_values[:, k:], usable[:, k:])
-
-        n_out = self.fixed_count + n_changed
-        delta = mu_changed - self.fixed_mean
-        mu_out = self.fixed_mean + delta * (n_changed / n_out)
-        weight = self.fixed_count * n_changed / n_out
-        cov_out += self.fixed_m2
-        cov_out += weight * delta[:, None, :] * delta[None, :, :]
-        cov_in /= n_in
-        cov_out /= n_out
-        return (mu_in, cov_in), (mu_out, cov_out)
+        n_in, mu_in, m2_in = _stack_moments(emb_values[:, :k], usable[:, :k])
+        changed = emb_values[:, k:] * usable[:, k:, None]  # the `history` rows past b
+        outer = self.fixed_outer + np.einsum("prv,prw->vwp", changed, changed)
+        sums = self.fixed_sum + changed.sum(axis=1).T
+        mu_out, chol_out = _fit(outer, sums, self.fixed_count + usable[:, k:].sum(axis=1))
+        chol_in = jittered_cholesky(m2_in / n_in)
+        return _scores(mu_in, chol_in, mu_out, chol_out, self.interval.length)
 
 
 class PrefixScanner:
     """Prefix-sum statistics over embedded rows for O(1) interval moments.
 
-    The rows are centered on the mean of the usable ones, so the sums do not
-    cancel against a large offset. Missing rows are zero-filled and tracked
-    by a separate count prefix, so means and ML covariances come out
-    identical (up to round-off) to naive re-estimation over the usable rows.
+    The sums are over rows centered by :func:`_centered`; unusable rows are
+    zero there and tracked by a separate count prefix. Each side is fitted
+    one-pass by :func:`_fit`, identical (up to round-off) to naive
+    re-estimation over the usable rows.
     The prefix index is the last axis (``sums`` is (width, rows + 1),
     ``outer_sums`` (width, width, rows + 1)), so gathering N candidates
     gives the (width, N) means and (width, width, N) covariance stacks that
@@ -244,8 +239,7 @@ class PrefixScanner:
     def __init__(self, emb: Embedding):
         valid = ~emb.missing
         m, width = emb.values.shape
-        center = emb.values[valid].mean(axis=0) if valid.any() else 0.0
-        x = np.where(valid[:, None], emb.values - center, 0.0).T
+        x = _centered(emb)[1].T
         self.width = width
         self.lead = int(emb.times[0])
         self.rows = m
@@ -297,7 +291,8 @@ class PrefixScanner:
 def _fit(outer: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     """Means (width, N) and jittered covariance factors (width, width, N) from moment sums.
 
-    ``outer`` is overwritten with the factors.
+    One pass over sums of centered rows, so ``outer / count - mean mean'``
+    does not cancel. ``outer`` is overwritten with the factors.
     """
     counts = counts.astype(float)
     mean = sums / counts

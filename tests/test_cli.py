@@ -39,6 +39,12 @@ def past_the_end(source, tmp_path) -> list[str]:
     return ["--detections", str(path)]
 
 
+def records(*changes: dict) -> str:
+    """A detections file with one record per change to a valid rank-1 record."""
+    base = {"a": 500, "b": 550, "score": 1.0, "rank": 1}
+    return json.dumps({"detections": [{**base, **change} for change in changes]})
+
+
 #: Malformed detections files: (content, the problem the error names).
 BAD_DETECTIONS = {
     "invalid_json": ("{not json", "line 1 column 2"),
@@ -46,6 +52,15 @@ BAD_DETECTIONS = {
                   "missing field 'b'"),
     "empty_interval": (json.dumps({"detections": [{"a": 50, "b": 20, "score": 1.0, "rank": 1}]}),
                        "invalid interval [50, 20)"),
+    "rank_path": (records({"rank": "1/../x"}),
+                  "rank must be a distinct integer >= 1, got '1/../x'"),
+    "rank_zero": (records({"rank": 0}), "rank must be a distinct integer >= 1, got 0"),
+    "rank_bool": (records({"rank": True}), "rank must be a distinct integer >= 1, got True"),
+    "rank_twice": (records({}, {"a": 100, "b": 150}),
+                   "rank must be a distinct integer >= 1, got 1"),
+    "score_text": (records({"score": "high"}), "score must be a finite number, got 'high'"),
+    "score_bool": (records({"score": False}), "score must be a finite number, got False"),
+    "score_nan": (records({"score": float("nan")}), "score must be a finite number, got nan"),
 }
 
 
@@ -367,3 +382,4 @@ def test_malformed_detections_file_exits_2(sim_dir, tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: detections file {path}")
     assert problem in err
+    assert not (tmp_path / "out").exists()

@@ -143,7 +143,7 @@ class TestLocalRescorer:
             score_interval(apply_replacement(series, interval, subset, sample), interval, cfg)
             for subset, sample in cases
         ]
-        assert got.tolist() == pytest.approx(want, rel=1e-9)
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [1, 2])
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
@@ -209,6 +209,28 @@ class TestLocalRescorer:
         cases = [(subset, rng.standard_normal((interval.length, len(subset))))
                  for subset in ((0,), (1,), (2,))]
         self.check(series, interval, EMB, cases)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
+def test_translation_is_exact(c):
+    """Values within a factor 2 of ``c`` hold the same data as their shift by
+    ``-c``, since that subtraction is exact (Sterbenz). The naive score and a
+    local re-score stack must then not see the offset at all."""
+    rng = np.random.default_rng(12)
+    values = c + rng.standard_normal((300, 3))
+    values[140:170] += 3.0
+    missing = rng.random(values.shape) < 0.02
+    blocks = c + rng.standard_normal((4, 30, 2))
+    for x in (values, blocks):
+        assert np.all((c / 2 < x) & (x < 2 * c))
+    interval, columns = Interval(140, 170), [(0, 1), (1, 2), (0, 2), (0, 1)]
+    got, want = [], []
+    for offset, scores in ((c, got), (0.0, want)):
+        series = make_series(values - (c - offset), missing=missing)
+        scores.append(score_interval(series, interval, EMB))
+        rescorer = LocalRescorer(series, interval, EMB)
+        scores.extend(rescorer.score(columns, blocks - (c - offset)))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestOneFactorization:
