@@ -192,7 +192,10 @@ def _parse_anomaly(text: str, names: tuple[str, ...]) -> Injection:
     if "vars" not in fields or "kind" not in fields:
         raise ConfigError(f"anomaly line needs vars= and kind=: {text!r}")
     variables = _resolve_variables(fields["vars"].split(","), names)
-    magnitude = float(fields.get("magnitude", 0.0))
+    try:
+        magnitude = float(fields.get("magnitude", 0.0))
+    except ValueError:
+        raise ConfigError(f"anomaly magnitude must be a number, got {fields['magnitude']!r}") from None
     return Injection(
         interval=interval, variables=variables, kind=fields["kind"], magnitude=magnitude
     )
@@ -215,12 +218,12 @@ def load_synth_spec(path) -> SynthSpec:
         names = tuple(s.strip() for s in kv["names"][-1].split(","))
         if len(names) != d:
             raise ConfigError(f"'names' lists {len(names)} labels, d={d}")
+        if len(set(names)) != d:
+            raise ConfigError(f"'names' must be {d} distinct labels, got {kv['names'][-1]!r}")
     else:
         names = tuple(f"x{j + 1}" for j in range(d))
 
-    lags = sorted(
-        int(key.split(".", 1)[1]) for key in kv if key.startswith("coeff.")
-    )
+    lags = sorted(_parse_int(key.split(".", 1)[1], key) for key in kv if key.startswith("coeff."))
     if lags and lags != list(range(1, len(lags) + 1)):
         raise ConfigError(f"coefficient lags must be contiguous from 1, got {lags}")
     coeffs = tuple(_parse_matrix(kv[f"coeff.{lag}"], f"coeff.{lag}", d) for lag in lags)

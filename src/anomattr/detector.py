@@ -7,16 +7,27 @@ score and local re-score go one way: rows centered by one rule
 (:func:`_centered`), a two-pass fit from rows (:func:`_stack_moments`) or a
 one-pass fit from sums (:func:`_fit`), one jittered factor per covariance
 (:mod:`.gaussian`), the divergence, and one rule that turns it into a score
-(:func:`_scores`). The scan's prefix sums make each candidate cost
-O(width^3) whatever its length; it is required (and tested) to match naive
-per-interval re-estimation.
+(:func:`_scores`). Every sum of outer products is kept packed: the
+width(width+1)/2 entries of its lower triangle, row by row (:func:`_packed`).
+
+The scan scores its grid in blocks of ``SCAN_BLOCK`` starts, with block
+boundaries at multiples of ``SCAN_BLOCK`` in start time. The centered rows,
+their usable flags and the whole-series totals are built once
+(:class:`_ScanRows`); each block builds one prefix over the rows its
+candidates read and scores every length from it. A candidate's outside is
+the totals minus its inside, so each candidate costs O(width^3) whatever its
+length, and the scan's memory is O((SCAN_BLOCK + len_max) * width^2)
+whatever the length of the series. The scan is required (and tested) to
+match naive per-interval re-estimation.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +36,11 @@ from .gaussian import interval_score, jittered_cholesky, kl_from_factors
 from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, delay_rows, embed
 
 log = logging.getLogger(__name__)
+
+#: Starts per block of the scan grid. A block's prefix covers at most
+#: SCAN_BLOCK + len_max - 1 rows, and its stacks hold at most SCAN_BLOCK
+#: candidates.
+SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,6 +128,14 @@ def _centered(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
     return center, np.where(valid[:, None], emb.values - center, 0.0)
 
 
+def _packed(square: np.ndarray) -> np.ndarray:
+    """The lower triangle of a (w, w, ...) array, packed row by row into (w(w+1)/2, ...).
+
+    The order is ``np.tril_indices(w)``'s, the one :func:`_fit` unpacks.
+    """
+    return square[np.tril_indices(square.shape[0])]
+
+
 def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
     """Interval scores of a stack of fitted (mean, factor) pairs.
 
@@ -152,7 +176,8 @@ class LocalRescorer:
 
     A change confined to [a, b) alters only the embedded rows anchored in
     [a, b + history). The other usable outside rows are fixed: their count,
-    sum and outer-product sum are kept once, centered by :func:`_centered`.
+    sum and packed outer-product sum are kept once, centered by
+    :func:`_centered`.
     :meth:`score` writes a stack of P changes (a chunk of subsets times their
     draws) into P copies of the cells those rows read, re-embeds them in one
     call and weights the usable rows, so every copy keeps its shape. Its
@@ -177,7 +202,7 @@ class LocalRescorer:
         fixed = rows[((emb.times < lo) | (emb.times >= hi)) & ~emb.missing]
         self.fixed_count = len(fixed)
         self.fixed_sum = fixed.sum(axis=0)[:, None]
-        self.fixed_outer = (fixed.T @ fixed)[..., None]
+        self.fixed_outer = _packed(fixed.T @ fixed)[:, None]
         self.block_start = lo - history
         self.block_missing = series.missing[self.block_start : hi]
         # Missing cells hold NaN, and NaN times a zero weight is still NaN.
@@ -216,41 +241,56 @@ class LocalRescorer:
         k = self.n_inside
         n_in, mu_in, m2_in = _stack_moments(emb_values[:, :k], usable[:, :k])
         changed = emb_values[:, k:] * usable[:, k:, None]  # the `history` rows past b
-        outer = self.fixed_outer + np.einsum("prv,prw->vwp", changed, changed)
+        outer = self.fixed_outer + _packed(np.einsum("prv,prw->vwp", changed, changed))
         sums = self.fixed_sum + changed.sum(axis=1).T
         mu_out, chol_out = _fit(outer, sums, self.fixed_count + usable[:, k:].sum(axis=1))
         chol_in = jittered_cholesky(m2_in / n_in)
         return _scores(mu_in, chol_in, mu_out, chol_out, self.interval.length)
 
 
-class PrefixScanner:
-    """Prefix-sum statistics over embedded rows for O(1) interval moments.
-
-    The sums are over rows centered by :func:`_centered`; unusable rows are
-    zero there and tracked by a separate count prefix. Each side is fitted
-    one-pass by :func:`_fit`, identical (up to round-off) to naive
-    re-estimation over the usable rows.
-    The prefix index is the last axis (``sums`` is (width, rows + 1),
-    ``outer_sums`` (width, width, rows + 1)), so gathering N candidates
-    gives the (width, N) means and (width, width, N) covariance stacks that
-    :mod:`.gaussian` factors and scores across the stack.
-    """
+class _ScanRows:
+    """What every block of a scan shares: the rows centered by :func:`_centered`,
+    their usable flags, and the usable rows' ``count``, ``sum`` (width, 1) and
+    packed outer-product sum ``outer`` (width(width+1)/2, 1)."""
 
     def __init__(self, emb: Embedding):
-        valid = ~emb.missing
-        m, width = emb.values.shape
-        x = _centered(emb)[1].T
-        self.width = width
+        self.width = emb.width
         self.lead = int(emb.times[0])
-        self.rows = m
-        self.counts = np.concatenate([[0], np.cumsum(valid)])
-        self.sums = np.zeros((width, m + 1))
+        self.usable = ~emb.missing
+        self.centered = _centered(emb)[1]
+        self.count = int(self.usable.sum())
+        self.sum = self.centered.sum(axis=0)[:, None]
+        self.outer = _packed(self.centered.T @ self.centered)[:, None]
+
+
+class PrefixScanner:
+    """Prefix sums over a run of centered embedded rows, for O(1) interval moments.
+
+    ``PrefixScanner(emb)`` covers every row of an embedding and scores any
+    start; :func:`detect` builds one per block of starts over the rows
+    [first, stop) that the block's candidates read. Unusable rows are zero
+    and tracked by a count prefix, so ``counts[hi] - counts[lo]`` over
+    :meth:`_row_range`'s indices is a candidate's usable inside count; its
+    outside is the whole-series totals minus its inside. The prefix index is
+    the last axis (``sums`` (width, rows + 1), packed ``outer_sums``
+    (width(width+1)/2, rows + 1)), so a gather gives the stacks that
+    :func:`_fit` turns into factors. Memory is O(rows * width^2).
+    """
+
+    def __init__(self, emb: Embedding | _ScanRows, first: int = 0, stop: int | None = None):
+        whole = emb if isinstance(emb, _ScanRows) else _ScanRows(emb)
+        stop = len(whole.centered) if stop is None else stop
+        x = whole.centered[first:stop].T
+        lower_i, lower_j = np.tril_indices(whole.width)
+        self.whole = whole
+        self.width = whole.width
+        self.lead = whole.lead + first  # anchor time of the prefix's first row
+        self.rows = stop - first
+        self.counts = np.concatenate([[0], np.cumsum(whole.usable[first:stop])])
+        self.sums = np.zeros((self.width, self.rows + 1))
         np.cumsum(x, axis=1, out=self.sums[:, 1:])
-        self.outer_sums = np.zeros((width, width, m + 1))
-        np.cumsum(x[:, None, :] * x[None, :, :], axis=2, out=self.outer_sums[:, :, 1:])
-        self.total_count = int(self.counts[-1])
-        self.total_sum = self.sums[:, -1:]
-        self.total_outer = self.outer_sums[:, :, -1:]
+        self.outer_sums = np.zeros((len(lower_i), self.rows + 1))
+        np.cumsum(x[lower_i] * x[lower_j], axis=1, out=self.outer_sums[:, 1:])
 
     def _row_range(self, starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.clip(starts - self.lead, 0, self.rows)
@@ -261,11 +301,12 @@ class PrefixScanner:
         """Length-weighted scores for all intervals [s, s+length); NaN if unscorable.
 
         Unscorable: at most ``width`` usable rows inside, fewer than 2
-        outside, or a pair that :func:`_scores` refuses.
+        outside, or a pair that :func:`_scores` refuses. Every interval's
+        rows in the series must lie within the prefix's rows.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
-        cnt_out = self.total_count - cnt_in
+        cnt_out = self.whole.count - cnt_in
         # More inside rows than the width (which implies at least 2): with
         # no more, the inside covariance is singular and only the jitter
         # would rank the candidate. score_interval refuses fewer than
@@ -275,31 +316,54 @@ class PrefixScanner:
         if not ok.any():
             return out
         lo, hi = lo[ok], hi[ok]
-        # np.take returns C-contiguous stacks; indexing the last axis would not.
-        sum_in = np.take(self.sums, hi, axis=1)
-        sum_in -= np.take(self.sums, lo, axis=1)
-        outer_in = np.take(self.outer_sums, hi, axis=2)
-        outer_in -= np.take(self.outer_sums, lo, axis=2)
-        # Each covariance stack is built and factored in place; at most
-        # three candidate-sized stacks are alive at a time.
-        mu_out, chol_out = _fit(self.total_outer - outer_in, self.total_sum - sum_in, cnt_out[ok])
-        mu_in, chol_in = _fit(outer_in, sum_in, cnt_in[ok])
-        out[ok] = _scores(mu_in, chol_in, mu_out, chol_out, length)
+        # Both sides of every candidate, inside first, as one stack of 2N:
+        # one fit and one factorization per call.
+        mean, chol = _fit(
+            self._sides(self.outer_sums, self.whole.outer, lo, hi),
+            self._sides(self.sums, self.whole.sum, lo, hi),
+            np.concatenate([cnt_in[ok], cnt_out[ok]]),
+        )
+        n = len(lo)
+        out[ok] = _scores(mean[:, :n], chol[..., :n], mean[:, n:], chol[..., n:], length)
         return out
+
+    @staticmethod
+    def _sides(prefix: np.ndarray, total: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Inside sums ``prefix[:, hi] - prefix[:, lo]`` and outside sums ``total``
+        minus them, side by side as one (k, 2N) array."""
+        # Built in place: concatenating the two sides leaves more freed
+        # temporaries behind, enough for glibc's allocator to return the
+        # memory to the operating system after each call and fault it in
+        # again on the next.
+        sides = np.empty((len(prefix), 2, len(lo)))
+        inside, outside = sides[:, 0], sides[:, 1]
+        np.take(prefix, hi, axis=1, out=inside)
+        inside -= np.take(prefix, lo, axis=1)
+        np.subtract(total, inside, out=outside)
+        return sides.reshape(len(prefix), -1)
 
 
 def _fit(outer: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     """Means (width, N) and jittered covariance factors (width, width, N) from moment sums.
 
+    ``outer`` is the packed lower triangle of each outer-product sum,
+    (width(width+1)/2, N) in :func:`_packed`'s order, and is overwritten.
     One pass over sums of centered rows, so ``outer / count - mean mean'``
-    does not cancel. ``outer`` is overwritten with the factors.
+    does not cancel. The covariances are unpacked into the lower triangle of
+    the stack that :func:`~.gaussian.jittered_cholesky` factors in place; it
+    never reads the upper triangle and zeroes it.
     """
     counts = counts.astype(float)
     mean = sums / counts
     outer /= counts
-    for row, mean_a in zip(outer, mean):  # row by row: no stack-sized temporary
-        row -= mean_a * mean
-    return mean, jittered_cholesky(outer)
+    covs = np.empty((len(mean), len(mean), outer.shape[1]))
+    start = 0
+    for a, mean_a in enumerate(mean):  # row by row: no stack-sized temporary
+        row = covs[a, : a + 1]
+        np.multiply(mean_a, mean[: a + 1], out=row)
+        np.subtract(outer[start : start + a + 1], row, out=row)
+        start += a + 1
+    return mean, jittered_cholesky(covs)
 
 
 def _suppress(scores, starts, lens, order, top_k: int) -> list[Detection]:
@@ -319,31 +383,40 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     """Scan all candidate intervals and return the top-k disjoint detections.
 
     Candidates are every (start, length) with len_min <= length <= len_max,
-    starts on the stride grid. Suppression is greedy: candidates are taken
-    in descending score order and discarded if they intersect an accepted
-    one. Ties break deterministically on (start, length).
+    starts on the stride grid. They are scored in blocks of ``SCAN_BLOCK``
+    starts, each from one prefix over the rows it reads; threads share the
+    lengths of one block, so neither the blocks nor the scores depend on
+    ``threads``. Suppression is greedy: candidates are taken in descending
+    score order and discarded if they intersect an accepted one. Ties break
+    deterministically on (start, length).
     """
     n = series.n
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if cfg.len_max > n:
         raise ConfigError(f"len_max {cfg.len_max} exceeds series length {n}")
-    emb = embed(series, cfg.embedding)
-    scanner = PrefixScanner(emb)
-
+    scan_rows = _ScanRows(embed(series, cfg.embedding))
     lengths = range(cfg.len_min, cfg.len_max + 1)
+    grid_end = n - cfg.len_min + 1  # past the last start of any length
 
-    def scan_one(length: int):
-        starts = np.arange(0, n - length + 1, cfg.stride)
+    def scan_one(scanner: PrefixScanner, s0: int, s1: int, length: int):
+        first = -(-s0 // cfg.stride) * cfg.stride
+        starts = np.arange(first, min(s1, n - length + 1), cfg.stride)
         if starts.size == 0:
             return None
         return starts, scanner.score_batch(starts, length), length
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = [c for c in pool.map(scan_one, lengths) if c is not None]
-    else:
-        chunks = [c for c in map(scan_one, lengths) if c is not None]
+    chunks = []
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for s0 in range(0, grid_end, SCAN_BLOCK):
+            s1 = min(s0 + SCAN_BLOCK, grid_end)
+            # The rows anchored in [s0, s1 - 1 + len_max): all that the block reads.
+            first = max(s0 - scan_rows.lead, 0)
+            stop = min(s1 - 1 + cfg.len_max - scan_rows.lead, len(scan_rows.centered))
+            scanner = PrefixScanner(scan_rows, first, stop)
+            block = run(partial(scan_one, scanner, s0, s1), lengths)
+            chunks.extend(c for c in block if c is not None)
 
     all_scores, all_starts, all_lengths = [], [], []
     for starts, scores, length in chunks:

@@ -21,12 +21,13 @@ evaluated from the Cholesky factors of Sp and Sq over a stack of pairs
 (:func:`interval_score`).
 
 Matrix axes come first and the stack index last: N covariances are an
-(m, m, N) array and their means (m, N), the layout in which the scan's
-prefix sums gather its candidates and the re-score stacks its (subset,
-draw) pairs; a single pair is a stack of N = 1. Each stack is factored
-column by column and solved row by row, each step one vectorised operation
-over all N matrices. Solves against one large triangular factor go through
-:func:`solve_lower`.
+(m, m, N) array and their means (m, N), the layout in which the scan
+unpacks the moments it gathers from one block's packed prefix sums (both
+sides of a length's candidates, as one stack) and the re-score stacks its
+(subset, draw) pairs; a single pair is a stack of N = 1. Each stack is
+factored column by column and solved row by row, each step one vectorised
+operation over all N matrices. Solves against one large triangular factor go
+through :func:`solve_lower`.
 """
 
 from __future__ import annotations

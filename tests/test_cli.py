@@ -383,3 +383,23 @@ def test_malformed_detections_file_exits_2(sim_dir, tmp_path, capsys, command, c
     assert err.startswith(f"error: detections file {path}")
     assert problem in err
     assert not (tmp_path / "out").exists()
+
+
+BAD_SPECS = {
+    "coeff_lag": ("n = 100\nd = 1\ncoeff.x = 0.5\n", "config key 'coeff.x': cannot parse integer 'x'"),
+    "magnitude": (
+        "n = 100\nd = 1\nanomaly = 10:20 vars=x1 kind=mean_shift magnitude=big\n",
+        "anomaly magnitude must be a number, got 'big'",
+    ),
+    "duplicate_names": ("n = 100\nd = 2\nnames = a,a\n", "'names' must be 2 distinct labels, got 'a,a'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPECS))
+def test_malformed_spec_exits_2(tmp_path, capsys, case):
+    content, problem = BAD_SPECS[case]
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(content)
+    assert main(["simulate", "--spec", str(spec), "--output-dir", str(tmp_path / "o")]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

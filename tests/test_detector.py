@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,87 @@ class TestOneFactorization:
         assert np.isnan(got[40])
         keep = np.arange(starts.size) != 40
         assert got[keep].tolist() == want[keep].tolist()
+
+
+class TestBlockedScan:
+    """The scan scores its grid in blocks of SCAN_BLOCK starts, each from its
+    own prefix over the rows it reads; a candidate scores the same whichever
+    block it falls in, and the blocks do not depend on the thread count."""
+
+    BLOCK = 32
+
+    @pytest.fixture
+    def series(self):
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal((300, 2))
+        values[150:170] += 2.5
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[rng.integers(0, 300, 8), rng.integers(0, 2, 8)] = True
+        missing[[31, 32, 64, 97], 0] = True  # next to block edges
+        return make_series(values, missing=missing)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_block_edges_match_naive(self, series, monkeypatch, tau, stride):
+        monkeypatch.setattr(detector, "SCAN_BLOCK", self.BLOCK)
+        cfg = ScanConfig(len_min=18, len_max=22, top_k=2, stride=stride,
+                         embedding=EmbeddingConfig(kappa=3, tau=tau))
+        emb = embed(series, cfg.embedding)
+        real = PrefixScanner.score_batch
+        calls = []
+
+        def recording(scanner, starts, length):
+            scores = real(scanner, starts, length)
+            calls.append((scanner, starts, length, scores))
+            return scores
+
+        monkeypatch.setattr(PrefixScanner, "score_batch", recording)
+        detect(series, cfg)
+        edges = range(self.BLOCK, series.n, self.BLOCK)
+        checked = past_block = 0
+        for scanner, starts, length, scores in calls:
+            s0 = starts[0] // self.BLOCK * self.BLOCK
+            assert np.all(starts // self.BLOCK == s0 // self.BLOCK)  # one block per call
+            near = np.isin(starts, [e + k for e in edges for k in (-1, 0, 1)])
+            lo, hi = scanner._row_range(starts, length)
+            for i in np.flatnonzero(near):
+                interval = Interval(int(starts[i]), int(starts[i]) + length)
+                inside = (emb.times >= interval.a) & (emb.times < interval.b) & ~emb.missing
+                # The inside count that a tracer reads off the scanner.
+                assert scanner.counts[hi[i]] - scanner.counts[lo[i]] == inside.sum()
+                assert scores[i] == pytest.approx(score_interval(series, interval, cfg.embedding),
+                                                  rel=1e-8)
+                checked += 1
+                past_block += interval.b > s0 + self.BLOCK
+        assert checked >= 20 and past_block >= 10
+
+    def test_threads_and_blocks_do_not_change_detections(self, series, monkeypatch):
+        cfg = ScanConfig(len_min=18, len_max=22, top_k=3, embedding=EMB)
+        whole = detect(series, cfg)
+        monkeypatch.setattr(detector, "SCAN_BLOCK", self.BLOCK)
+        blocks = len(range(0, series.n - cfg.len_min + 1, self.BLOCK))
+        assert blocks >= 3
+        serial = detect(series, cfg, threads=1)
+        assert detect(series, cfg, threads=3) == serial
+        assert [d.interval for d in serial] == [d.interval for d in whole]
+        for got, want in zip(serial, whole):
+            assert got.score == pytest.approx(want.score, rel=1e-10)
+
+
+def test_scan_memory_is_bounded_by_the_embedding():
+    """The scan keeps one block's prefix and stacks at a time, so its traced
+    peak is a small multiple of the embedding, whatever the series length."""
+    n = 100_000
+    series = make_series(np.random.default_rng(5).standard_normal((n, 4)))
+    emb_bytes = embed(series, EMB).values.nbytes
+    cfg = ScanConfig(len_min=40, len_max=41, embedding=EMB)
+    tracemalloc.start()
+    try:
+        detect(series, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * emb_bytes, f"traced peak {peak / emb_bytes:.1f}x the embedding"
 
 
 class TestDetect:
