@@ -281,6 +281,22 @@ def attribute(
     return _attribute_window(series, detection.interval, cfg, label="detection", offset=0)
 
 
+def pre_event_window(interval: Interval, offset: int, n: int, length: int | None = None):
+    """The window starting ``offset`` steps before ``interval``, of its length unless
+    ``length`` is given; ConfigError unless it lies within ``n`` steps."""
+    if offset < 0:
+        raise ConfigError(f"offset must be >= 0, got {offset}")
+    window_len = interval.length if length is None else length
+    if window_len < 1:
+        raise ConfigError(f"pre-event window length must be >= 1, got {window_len}")
+    start = interval.a - offset
+    if start < 0 or start + window_len > n:
+        raise ConfigError(
+            f"pre-event window [{start}, {start + window_len}) out of range for n={n}"
+        )
+    return Interval(start, start + window_len)
+
+
 def pre_event_scores(
     series: MultivariateSeries,
     detection: Detection,
@@ -288,23 +304,9 @@ def pre_event_scores(
     cfg: AttributionConfig,
     length: int | None = None,
 ) -> AttributionReport:
-    """Run the attribution on a window placed ``offset`` steps before the detection.
-
-    The window starts at ``a - offset`` and keeps the detection length unless
-    an explicit ``length`` is given; offset 0 with the default length
-    reproduces the detection window itself.
-    """
-    if offset < 0:
-        raise ConfigError(f"offset must be >= 0, got {offset}")
-    window_len = detection.interval.length if length is None else length
-    if window_len < 1:
-        raise ConfigError(f"pre-event window length must be >= 1, got {window_len}")
-    start = detection.interval.a - offset
-    if start < 0 or start + window_len > series.n:
-        raise ConfigError(
-            f"pre-event window [{start}, {start + window_len}) out of range for n={series.n}"
-        )
-    shifted = Interval(start, start + window_len)
+    """Run the attribution on the :func:`pre_event_window` ``offset`` steps before the
+    detection; offset 0 with the default length is the detection window itself."""
+    shifted = pre_event_window(detection.interval, offset, series.n, length)
     return _attribute_window(series, shifted, cfg, label="pre_event", offset=offset)
 
 

@@ -16,6 +16,7 @@ from .attribution import (
     attribute,
     baseline_histograms,
     pre_event_scores,
+    pre_event_window,
 )
 from .config import RunConfig, build_run_config, load_synth_spec
 from .counterfactual import apply_replacement
@@ -149,8 +150,10 @@ def _load_detections(cfg: RunConfig, series: MultivariateSeries) -> list[Detecti
             payload = json.load(fh)
         detections: list[Detection] = []
         for rec in payload["detections"]:
-            interval = _check_within(Interval(rec["a"], rec["b"]), series)
-            score, rank = rec["score"], rec["rank"]
+            a, b, score, rank = rec["a"], rec["b"], rec["score"], rec["rank"]
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"interval bounds must be integers, got a={a!r}, b={b!r}")
+            interval = _check_within(Interval(a, b), series)
             # The rank names output files; JSON booleans are not numbers here.
             if type(rank) is not int or rank < 1 or rank in {d.rank for d in detections}:
                 raise ValueError(f"rank must be a distinct integer >= 1, got {rank!r}")
@@ -220,28 +223,32 @@ def cmd_attribute(cfg: RunConfig) -> int:
     else:
         series, zparams = raw_series, None
     detections = _load_detections(cfg, series)
+    emb = EmbeddingConfig(cfg.kappa, cfg.tau)
+    acfg = AttributionConfig(
+        embedding=emb,
+        realizations=cfg.realizations,
+        seed=cfg.seed,
+        max_subset_size=cfg.max_subset,
+        baseline_bins=cfg.bins,
+        threads=cfg.threads,
+    )
+    if cfg.interval is not None:
+        detections = [
+            Detection(
+                interval=_check_within(cfg.interval, series),
+                score=score_interval(series, cfg.interval, emb),
+                rank=1,
+            )
+        ]
+    if not detections:
+        raise ConfigError("nothing to attribute: no detections and no --interval")
+    # Every window is checked before anything is scored or written.
+    for det in detections:
+        for off in cfg.offsets:
+            pre_event_window(det.interval, off, series.n, cfg.offset_length)
     out_dir = _ensure_output_dir(cfg)
     handler = _attach_log_file(out_dir)
     try:
-        emb = EmbeddingConfig(cfg.kappa, cfg.tau)
-        acfg = AttributionConfig(
-            embedding=emb,
-            realizations=cfg.realizations,
-            seed=cfg.seed,
-            max_subset_size=cfg.max_subset,
-            baseline_bins=cfg.bins,
-            threads=cfg.threads,
-        )
-        if cfg.interval is not None:
-            detections = [
-                Detection(
-                    interval=_check_within(cfg.interval, series),
-                    score=score_interval(series, cfg.interval, emb),
-                    rank=1,
-                )
-            ]
-        if not detections:
-            raise ConfigError("nothing to attribute: no detections and no --interval")
         columns = _report_columns(cfg)
         for det in detections:
             log.info("attribute rank=%d interval=[%d, %d)", det.rank, det.interval.a, det.interval.b)
@@ -286,7 +293,7 @@ def cmd_baseline(cfg: RunConfig) -> int:
         detections = _load_detections(cfg, series)
         if not detections:
             raise ConfigError("baseline needs --interval a:b or a detections file")
-        interval = detections[0].interval
+        interval = min(detections, key=lambda det: det.rank).interval
     out_dir = _ensure_output_dir(cfg)
     handler = _attach_log_file(out_dir)
     try:

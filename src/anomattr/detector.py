@@ -4,21 +4,23 @@ Every candidate (start, length) on the scan grid is scored by the
 length-weighted divergence between the Gaussian fitted to embedded rows
 anchored inside the interval and the one fitted to the rest. Scan, naive
 score and local re-score go one way: rows centered by one rule
-(:func:`_centered`), a two-pass fit from rows (:func:`_stack_moments`) or a
-one-pass fit from sums (:func:`_fit`), one jittered factor per covariance
-(:mod:`.gaussian`), the divergence, and one rule that turns it into a score
-(:func:`_scores`). Every sum of outer products is kept packed: the
-width(width+1)/2 entries of its lower triangle, row by row (:func:`_packed`).
+(:func:`_centered`); each side's count, sum and packed outer-product sum
+(:func:`_row_sums`, or a prefix of them), an outside being the totals
+minus its inside or the sum of its parts; both sides of N candidates as
+one stack of 2N, the insides first, fitted one-pass by :func:`_fit` with
+one jittered factor per covariance (:mod:`.gaussian`); and one tail that
+splits the stack and turns each divergence into a score (:func:`_scores`).
+A packed outer-product sum holds the width(width+1)/2 entries of its lower
+triangle, row by row in ``np.tril_indices`` order.
 
 The scan scores its grid in blocks of ``SCAN_BLOCK`` starts, with block
 boundaries at multiples of ``SCAN_BLOCK`` in start time. The centered rows,
 their usable flags and the whole-series totals are built once
 (:class:`_ScanRows`); each block builds one prefix over the rows its
-candidates read and scores every length from it. A candidate's outside is
-the totals minus its inside, so each candidate costs O(width^3) whatever its
-length, and the scan's memory is O((SCAN_BLOCK + len_max) * width^2)
-whatever the length of the series. The scan is required (and tested) to
-match naive per-interval re-estimation.
+candidates read and scores every length from it. Each candidate costs
+O(width^3) whatever its length, and the scan's memory is
+O((SCAN_BLOCK + len_max) * width^2) whatever the length of the series. The
+scan is required (and tested) to match naive per-interval re-estimation.
 """
 
 from __future__ import annotations
@@ -104,18 +106,17 @@ def score_interval(series: MultivariateSeries, interval: Interval, cfg: Embeddin
     """Length-weighted divergence of one interval against the rest of the series (naive path).
 
     A row belongs to the interval iff its anchor time does; rows flagged
-    missing are excluded from both sides, which are fitted two-pass as one
-    stack. NumericalError if unscorable.
+    missing are excluded from both sides. The outside is the series totals
+    minus the inside, as in the scan. NumericalError if unscorable.
     """
     interval.validate_within(series.n)
     emb = embed(series, cfg)
+    whole = _ScanRows(emb)
     anchored = (emb.times >= interval.a) & (emb.times < interval.b)
-    sides = np.stack([anchored & ~emb.missing, ~anchored & ~emb.missing])
-    rows = _centered(emb)[1]
-    counts, mean, m2 = _stack_moments(np.broadcast_to(rows, (2, *rows.shape)), sides)
-    _check_row_counts(interval, int(counts[0]), int(counts[1]), emb.width)
-    chol = jittered_cholesky(m2 / counts)
-    score = _scores(mean[:, :1], chol[..., :1], mean[:, 1:], chol[..., 1:], interval.length)
+    inside = _row_sums(whole.centered[None, anchored], whole.usable[None, anchored])
+    outside = [total - part for total, part in zip(whole.totals, inside)]
+    _check_row_counts(interval, int(inside[0][0]), int(outside[0][0]), emb.width)
+    score = _scores(*_fit(*_sides(inside, outside)), interval.length)
     if np.isnan(score[0]):
         raise unscorable(interval)
     return float(score[0])
@@ -128,22 +129,33 @@ def _centered(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
     return center, np.where(valid[:, None], emb.values - center, 0.0)
 
 
-def _packed(square: np.ndarray) -> np.ndarray:
-    """The lower triangle of a (w, w, ...) array, packed row by row into (w(w+1)/2, ...).
+def _row_sums(rows: np.ndarray, usable: np.ndarray):
+    """Count (P,), sum (w, P) and packed outer-product sum (w(w+1)/2, P) of the
+    usable rows of each of P row sets (P, r, w), stack last.
 
-    The order is ``np.tril_indices(w)``'s, the one :func:`_fit` unpacks.
+    Each row is weighted by its usable flag, so an unusable row must hold
+    finite values.
     """
-    return square[np.tril_indices(square.shape[0])]
+    x = rows * usable[..., None]
+    lower = np.tril_indices(rows.shape[2])
+    outer = (np.swapaxes(x, 1, 2) @ x)[:, lower[0], lower[1]]
+    return usable.sum(axis=1), x.sum(axis=1).T, outer.T
 
 
-def _scores(mu_in, chol_in, mu_out, chol_out, length: int):
-    """Interval scores of a stack of fitted (mean, factor) pairs.
+def _sides(inside, outside):
+    """(count, sum, outer) of N insides and N outsides as one stack of 2N, insides first."""
+    return [np.concatenate(pair, axis=-1) for pair in zip(inside, outside)]
+
+
+def _scores(mean, chol, length: int):
+    """Interval scores of a stack of 2N fitted (mean, factor) sides, the N insides first.
 
     NaN where a factor is NaN (its covariance did not factor) or the
     divergence is below -1e-6, more than round-off; a divergence between
     that and 0 is round-off and counts as 0.
     """
-    kl = kl_from_factors(mu_in, chol_in, mu_out, chol_out)
+    n = mean.shape[1] // 2
+    kl = kl_from_factors(mean[:, :n], chol[..., :n], mean[:, n:], chol[..., n:])
     return interval_score(np.where(kl < -1e-6, np.nan, np.maximum(kl, 0.0)), length)
 
 
@@ -155,37 +167,18 @@ def unscorable(interval: Interval) -> NumericalError:
     )
 
 
-def _stack_moments(rows: np.ndarray, usable: np.ndarray):
-    """Count (P,), mean (w, P) and centered second moment (w, w, P) of the
-    usable rows of each of P row sets (P, r, w), stack last.
-
-    Each row is weighted by its usable flag, so an unusable row must hold
-    finite values. A set with no usable row gets zero moments.
-    """
-    count = usable.sum(axis=1)
-    mean = np.einsum("pr,prw->pw", usable, rows) / np.maximum(count, 1)[:, None]
-    centered = rows - mean[:, None, :]
-    centered *= usable[..., None]
-    m2 = np.empty((rows.shape[2], rows.shape[2], rows.shape[0]))
-    np.matmul(np.swapaxes(centered, 1, 2), centered, out=np.moveaxis(m2, -1, 0))
-    return count, mean.T, m2
-
-
 class LocalRescorer:
     """Re-scores one interval after cells inside it change, touching only what changes.
 
     A change confined to [a, b) alters only the embedded rows anchored in
-    [a, b + history). The other usable outside rows are fixed: their count,
-    sum and packed outer-product sum are kept once, centered by
-    :func:`_centered`.
+    [a, b + history). The other outside rows are fixed: their sums
+    (:func:`_row_sums` of rows centered by :func:`_centered`) are kept once.
     :meth:`score` writes a stack of P changes (a chunk of subsets times their
-    draws) into P copies of the cells those rows read, re-embeds them in one
-    call and weights the usable rows, so every copy keeps its shape. Its
-    inside is fitted two-pass, as in :func:`score_interval`; its outside is
-    the fixed sums plus the changed rows' sums, fitted one-pass by the
-    scan's :func:`_fit`. The result equals :func:`score_interval` on each
-    modified series up to round-off. Read-only after construction; safe to
-    share between threads.
+    draws) into P copies of the cells those rows read and re-embeds them in
+    one call. Its inside is the sums of the changed rows anchored in [a, b),
+    its outside the fixed sums plus those of the changed rows past b, fitted
+    as in :func:`score_interval`, which each score equals on its modified
+    series up to round-off. Read-only after construction; thread-safe.
     """
 
     def __init__(self, series: MultivariateSeries, interval: Interval, cfg: EmbeddingConfig):
@@ -199,10 +192,8 @@ class LocalRescorer:
         hi = min(interval.b + history, series.n)
         self.n_inside = max(0, interval.b - lo)  # changed rows anchored inside
         self.center, rows = _centered(emb)
-        fixed = rows[((emb.times < lo) | (emb.times >= hi)) & ~emb.missing]
-        self.fixed_count = len(fixed)
-        self.fixed_sum = fixed.sum(axis=0)[:, None]
-        self.fixed_outer = _packed(fixed.T @ fixed)[:, None]
+        fixed = (emb.times < lo) | (emb.times >= hi)
+        self.fixed = _row_sums(rows[None, fixed], ~emb.missing[None, fixed])
         self.block_start = lo - history
         self.block_missing = series.missing[self.block_start : hi]
         # Missing cells hold NaN, and NaN times a zero weight is still NaN.
@@ -218,7 +209,7 @@ class LocalRescorer:
         missing[self.interval_rows[:, None], np.asarray(columns)] = False
         usable = ~delay_rows(self.block_values, missing, self.cfg)[1]
         n_in = int(usable[: self.n_inside].sum())
-        n_out = self.fixed_count + int(usable[self.n_inside :].sum())
+        n_out = int(self.fixed[0][0] + usable[self.n_inside :].sum())
         _check_row_counts(self.interval, n_in, n_out, self.width)
 
     def score(self, columns, blocks: np.ndarray) -> np.ndarray:
@@ -239,28 +230,22 @@ class LocalRescorer:
         emb_values -= self.center
         usable = ~emb_missing
         k = self.n_inside
-        n_in, mu_in, m2_in = _stack_moments(emb_values[:, :k], usable[:, :k])
-        changed = emb_values[:, k:] * usable[:, k:, None]  # the `history` rows past b
-        outer = self.fixed_outer + _packed(np.einsum("prv,prw->vwp", changed, changed))
-        sums = self.fixed_sum + changed.sum(axis=1).T
-        mu_out, chol_out = _fit(outer, sums, self.fixed_count + usable[:, k:].sum(axis=1))
-        chol_in = jittered_cholesky(m2_in / n_in)
-        return _scores(mu_in, chol_in, mu_out, chol_out, self.interval.length)
+        inside = _row_sums(emb_values[:, :k], usable[:, :k])
+        changed = _row_sums(emb_values[:, k:], usable[:, k:])  # the `history` rows past b
+        outside = [fixed + part for fixed, part in zip(self.fixed, changed)]
+        return _scores(*_fit(*_sides(inside, outside)), self.interval.length)
 
 
 class _ScanRows:
     """What every block of a scan shares: the rows centered by :func:`_centered`,
-    their usable flags, and the usable rows' ``count``, ``sum`` (width, 1) and
-    packed outer-product sum ``outer`` (width(width+1)/2, 1)."""
+    their usable flags, and the :func:`_row_sums` ``totals`` of the usable rows."""
 
     def __init__(self, emb: Embedding):
         self.width = emb.width
         self.lead = int(emb.times[0])
         self.usable = ~emb.missing
         self.centered = _centered(emb)[1]
-        self.count = int(self.usable.sum())
-        self.sum = self.centered.sum(axis=0)[:, None]
-        self.outer = _packed(self.centered.T @ self.centered)[:, None]
+        self.totals = _row_sums(self.centered[None], self.usable[None])
 
 
 class PrefixScanner:
@@ -306,7 +291,8 @@ class PrefixScanner:
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
-        cnt_out = self.whole.count - cnt_in
+        count, total_sum, total_outer = self.whole.totals
+        cnt_out = count - cnt_in
         # More inside rows than the width (which implies at least 2): with
         # no more, the inside covariance is singular and only the jitter
         # would rank the candidate. score_interval refuses fewer than
@@ -316,19 +302,19 @@ class PrefixScanner:
         if not ok.any():
             return out
         lo, hi = lo[ok], hi[ok]
-        # Both sides of every candidate, inside first, as one stack of 2N:
-        # one fit and one factorization per call.
-        mean, chol = _fit(
-            self._sides(self.outer_sums, self.whole.outer, lo, hi),
-            self._sides(self.sums, self.whole.sum, lo, hi),
-            np.concatenate([cnt_in[ok], cnt_out[ok]]),
+        # The sums are call temporaries, freed before the divergence runs.
+        out[ok] = _scores(
+            *_fit(
+                np.concatenate([cnt_in[ok], cnt_out[ok]]),
+                self._gather(self.sums, total_sum, lo, hi),
+                self._gather(self.outer_sums, total_outer, lo, hi),
+            ),
+            length,
         )
-        n = len(lo)
-        out[ok] = _scores(mean[:, :n], chol[..., :n], mean[:, n:], chol[..., n:], length)
         return out
 
     @staticmethod
-    def _sides(prefix: np.ndarray, total: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    def _gather(prefix: np.ndarray, total: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """Inside sums ``prefix[:, hi] - prefix[:, lo]`` and outside sums ``total``
         minus them, side by side as one (k, 2N) array."""
         # Built in place: concatenating the two sides leaves more freed
@@ -343,15 +329,16 @@ class PrefixScanner:
         return sides.reshape(len(prefix), -1)
 
 
-def _fit(outer: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+def _fit(counts: np.ndarray, sums: np.ndarray, outer: np.ndarray):
     """Means (width, N) and jittered covariance factors (width, width, N) from moment sums.
 
-    ``outer`` is the packed lower triangle of each outer-product sum,
-    (width(width+1)/2, N) in :func:`_packed`'s order, and is overwritten.
-    One pass over sums of centered rows, so ``outer / count - mean mean'``
-    does not cancel. The covariances are unpacked into the lower triangle of
-    the stack that :func:`~.gaussian.jittered_cholesky` factors in place; it
-    never reads the upper triangle and zeroes it.
+    The sums are those of :func:`_row_sums`, stack last: ``counts`` (N,),
+    ``sums`` (width, N) and ``outer`` (width(width+1)/2, N), which is
+    overwritten. One pass over sums of centered rows, so
+    ``outer / count - mean mean'`` does not cancel. The covariances are
+    unpacked into the lower triangle of the stack that
+    :func:`~.gaussian.jittered_cholesky` factors in place; it never reads
+    the upper triangle and zeroes it.
     """
     counts = counts.astype(float)
     mean = sums / counts

@@ -21,10 +21,11 @@ evaluated from the Cholesky factors of Sp and Sq over a stack of pairs
 (:func:`interval_score`).
 
 Matrix axes come first and the stack index last: N covariances are an
-(m, m, N) array and their means (m, N), the layout in which the scan
-unpacks the moments it gathers from one block's packed prefix sums (both
-sides of a length's candidates, as one stack) and the re-score stacks its
-(subset, draw) pairs; a single pair is a stack of N = 1. Each stack is
+(m, m, N) array and their means (m, N). Every scorer fits both sides of its
+N candidates in this layout as one stack of 2N, from packed sums of
+centered rows (the scan's gathered from one block's prefix, the naive
+score's and the re-score's summed from rows), and factors it in one call;
+the KL takes its two halves as N pairs. Each stack is
 factored column by column and solved row by row, each step one vectorised
 operation over all N matrices. Solves against one large triangular factor go
 through :func:`solve_lower`.

@@ -61,6 +61,8 @@ BAD_DETECTIONS = {
     "score_text": (records({"score": "high"}), "score must be a finite number, got 'high'"),
     "score_bool": (records({"score": False}), "score must be a finite number, got False"),
     "score_nan": (records({"score": float("nan")}), "score must be a finite number, got nan"),
+    "a_bool": (records({"a": True}), "interval bounds must be integers, got a=True, b=550"),
+    "b_bool": (records({"b": True}), "interval bounds must be integers, got a=500, b=True"),
 }
 
 
@@ -300,6 +302,35 @@ class TestAttribute:
         assert code == 2
         assert "error: bins must be >= 2, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window, problem",
+        [
+            (["--offset", "50", "--offset-length", "500"],
+             "pre-event window [450, 950) out of range for n=900"),
+            (["--offset", "50", "--offset-length", "0"], "offset_length must be >= 1, got 0"),
+        ],
+        ids=["rank_2_past_the_end", "zero_length"],
+    )
+    def test_bad_pre_event_window_exits_2_before_writing(
+        self, sim_dir, tmp_path, capsys, monkeypatch, window, problem
+    ):
+        """Rank 1's window [50, 550) fits the series; rank 2's does not, or no
+        window has a length. Nothing is scored and no output is written."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subset was scored")
+
+        monkeypatch.setattr(attribution, "_score_chunk", refuse)
+        path = tmp_path / "detections.json"
+        path.write_text(records({"a": 100, "b": 150}, {"a": 500, "b": 550, "rank": 2}))
+        out = tmp_path / "out"
+        code = main(
+            ["attribute", "--input", str(sim_dir / "series.csv"), "--output-dir", str(out),
+             "--detections", str(path), "--realizations", "1", *window]
+        )
+        assert code == 2
+        assert f"error: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fixed_seed_outputs_are_byte_identical(self, sim_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -360,6 +391,18 @@ class TestBaseline:
              "--interval", "500:550", "--bins", "1"]
         )
         assert code == 2
+
+    def test_detections_file_gives_the_rank_1_interval(self, sim_dir, tmp_path):
+        """The records are in reverse rank order; rank 1 is used, not the first record."""
+        path = tmp_path / "detections.json"
+        path.write_text(records({"a": 100, "b": 150, "rank": 2}, {}))
+        out = tmp_path / "base"
+        code = main(
+            ["baseline", "--input", str(sim_dir / "series.csv"), "--output-dir", str(out),
+             "--detections", str(path)]
+        )
+        assert code == 0
+        assert json.loads((out / "baseline.json").read_text())["interval"] == {"a": 500, "b": 550}
 
     def test_needs_interval_or_detections(self, sim_dir, tmp_path):
         code = main(

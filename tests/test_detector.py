@@ -19,6 +19,7 @@ from anomattr import AttributionConfig, Detection, VariableSubset, attribute, de
 from anomattr.attribution import RESCORE_STACK, _summarize
 from anomattr.detector import LocalRescorer, PrefixScanner
 from anomattr.errors import ConfigError, NumericalError, ScoringError
+from anomattr.gaussian import jitter_epsilon
 from anomattr.series import embed
 
 import oracles
@@ -70,6 +71,38 @@ class TestScoreInterval:
     def test_deterministic(self, rng):
         series, interval = shifted_series(rng)
         assert score_interval(series, interval, EMB) == score_interval(series, interval, EMB)
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_matches_loop_fit_and_inverse_kl(self, offset, tau):
+        """An independent path: rows embedded by plain indexing, each side
+        fitted row by row plus the jitter_epsilon diagonal, the divergence
+        through explicit inverses, times 2 |I|. The series has missing cells
+        and a +4 sigma plant; every inside has more usable rows than the width."""
+        rng = np.random.default_rng(40 + tau)
+        n, d, kappa = 240, 3, 3
+        values = rng.standard_normal((n, d)) + offset
+        values[100:140, 0] += 4.0
+        missing = rng.random((n, d)) < 0.03
+        series = make_series(np.where(missing, np.nan, values), missing=missing)
+        cfg = EmbeddingConfig(kappa=kappa, tau=tau)
+        rows, anchors = [], []
+        for t in range((kappa - 1) * tau, n):
+            cells = [t - k * tau for k in range(kappa)]
+            if not missing[cells].any():
+                rows.append(np.concatenate([values[c] for c in cells]))
+                anchors.append(t)
+        rows, anchors = np.array(rows), np.array(anchors)
+        for interval in (Interval(100, 140), Interval(20, 60), Interval(190, 240)):
+            inside = (anchors >= interval.a) & (anchors < interval.b)
+            assert inside.sum() > kappa * d
+            sides = []
+            for part in (rows[inside], rows[~inside]):
+                mean, cov = oracles.fit_by_loops(part)
+                cov[np.diag_indices(len(cov))] += jitter_epsilon(cov)
+                sides.append((mean, cov))
+            want = 2 * interval.length * oracles.kl_by_inverse(*sides[0], *sides[1])
+            assert score_interval(series, interval, cfg) == pytest.approx(want, rel=1e-9)
 
 
 class TestPrefixEquivalence:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from anomattr import interval_score
-from anomattr.detector import _stack_moments
+from anomattr.detector import _fit, _row_sums
 from anomattr.gaussian import (
     JITTER_FLOOR,
     jitter_epsilon,
@@ -30,19 +30,18 @@ def model(mean, cov):
 
 
 def fit(rows):
-    """The scorers' fit of complete rows: two-pass ML moments, then the jittered factor.
+    """The scorers' fit of complete rows: packed sums, then the one-pass moments
+    and the jittered factor of ``detector._fit``.
 
     Returns (mean, jittered covariance, lower factor of that covariance).
     """
-    (count,), mean, m2 = _stack_moments(rows[None], np.ones((1, len(rows)), dtype=bool))
-    mean, cov = mean[:, 0], m2[..., 0] / count
-    chol = jittered_cholesky(cov[..., None].copy())[..., 0]
-    cov.flat[:: len(cov) + 1] += jitter_epsilon(cov)  # the covariance that was factored
-    return mean, cov, chol
+    mean, chol = _fit(*_row_sums(rows[None], np.ones((1, len(rows)), dtype=bool)))
+    chol = chol[..., 0]
+    return mean[:, 0], chol @ chol.T, chol  # the covariance that was factored
 
 
 class TestEstimate:
-    """The two-pass moments (detector._stack_moments) and the jittered factor of every fit."""
+    """The sums (detector._row_sums), the one-pass moments and the jittered factor (detector._fit) of every fit."""
 
     def test_constant_rows_give_jittered_identity(self):
         rows = np.tile([3.0, -1.0], (5, 1))
