@@ -4,11 +4,12 @@ For every candidate variable subset the anomalous interval is rewritten with
 in-distribution replacements and re-scored; subsets whose replacement lowers
 the score the most are the attribution. Each window gets one nominal model
 (:class:`~anomattr.counterfactual.WindowModel`), inverted once and shared by
-every subset: it draws each subset's replacements in precision form, and a
+every subset: it draws the replacements of a chunk of subsets of one size
+in precision form, as memory-bounded stacks, and a
 :class:`~anomattr.detector.LocalRescorer` re-scores the draws by refitting
-only the embedded rows the replacement touches, a chunk of subsets of one
-size and all their draws as one stack; threads take whole chunks, so the
-outputs do not depend on the thread count. Both are built from the same
+only the embedded rows the replacement touches, the chunk and all its
+draws as one stack; threads take whole chunks, so the outputs do not
+depend on the thread count. Both are built from the same
 (series, interval, embedding), so the model conditions on exactly the cells
 the re-score reads around the interval. A per-variable histogram
 divergence is included as the univariate baseline for comparison.
@@ -173,17 +174,29 @@ def _score_chunk(
 ) -> list[SubsetScore]:
     """Scores of a chunk of (position, subset) items of one size, in order.
 
-    The draws of every subset whose row counts and draws pass are re-scored
-    as one stack. A subset whose check, draws or any re-score fails records
-    its error; the rest of the chunk is still scored.
+    Each subset's row counts are checked on their own; the subsets that pass
+    are drawn as stacks (:meth:`~anomattr.counterfactual.WindowModel.draw_stack`),
+    and the draws of every subset that draws are re-scored as one stack. A
+    subset whose check, draws or any re-score fails records its error; the
+    rest of the chunk is still scored.
     """
-    results, drawn = {}, []
+    results, passed = {}, []
     for si, subset in chunk:
         try:
             rescorer.check(subset.indices)
-            drawn.append((si, subset, model.draws(subset.indices, _seeds(cfg, si))))
-        except (EstimationError, NumericalError, ScoringError, np.linalg.LinAlgError) as exc:
+            passed.append((si, subset))
+        except ScoringError as exc:
             results[si] = _failed(subset, exc)
+    drawn = []
+    if passed:
+        stack = model.draw_stack(
+            [subset.indices for _, subset in passed], [_seeds(cfg, si) for si, _ in passed]
+        )
+        for (si, subset), blocks in zip(passed, stack):
+            if isinstance(blocks, Exception):
+                results[si] = _failed(subset, blocks)
+            else:
+                drawn.append((si, subset, blocks))
     if drawn:
         columns = np.repeat([subset.indices for _, subset, _ in drawn], cfg.realizations, axis=0)
         scores = rescorer.score(columns, np.concatenate([blocks for *_, blocks in drawn]))

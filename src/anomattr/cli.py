@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=int,
         default=[],
-        help="also score a window this many steps before the detection (repeatable)",
+        help="also score a window this many steps before the detection (repeatable, distinct)",
     )
     p_attr.add_argument(
         "--offset-length",

@@ -140,6 +140,8 @@ def build_run_config(cli_values: dict, config_path: str | None) -> RunConfig:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     if any(off < 0 for off in cfg.offsets):
         raise ConfigError("offsets must be non-negative")
+    if len(set(cfg.offsets)) != len(cfg.offsets):
+        raise ConfigError(f"offsets must be distinct, got {', '.join(map(str, cfg.offsets))}")
     if cfg.offset_length is not None and cfg.offset_length < 1:
         raise ConfigError(f"offset_length must be >= 1, got {cfg.offset_length}")
     return cfg

@@ -20,6 +20,10 @@ There is one model per window (:class:`WindowModel`): the joint is checked
 positive definite by one Cholesky factorization and inverted once into its
 precision, and every subset is conditioned and drawn in precision form
 through one Cholesky factor of the precision block of its hidden cells.
+Subsets of one size are drawn as stacks: the blocks of a stack are gathered,
+factored in one call and solved in one blocked substitution, at most
+DRAW_STACK_BYTES of them at a time, and each subset's draws are exactly the
+ones it gets alone.
 """
 
 from __future__ import annotations
@@ -29,9 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, NumericalError
 from .gaussian import cholesky, jitter_epsilon, solve_lower
 from .series import EmbeddingConfig, Interval, MultivariateSeries
+
+#: Largest gathered stack of hidden-cell precisions, in bytes. A stack of more
+#: subsets is factored and drawn in parts; a larger matrix is a stack of its own.
+DRAW_STACK_BYTES = 1 << 20
 
 
 def estimate_stationary(
@@ -159,8 +167,20 @@ class WindowModel:
 
     and a draw is x_Q = mu_Q + L_QQ'^-1 (z - y_Q) with z standard normal.
     Neither cov_Q nor an inverse is formed, and no jitter is added: the law
-    is exactly the conditional of the joint. The model is read-only after
-    construction and may be shared between threads.
+    is exactly the conditional of the joint.
+
+    :meth:`draw_stack` takes S subsets of one size at once. Subsets with the
+    same number of hidden cells h share a stack: their Lambda_HH are gathered
+    as one (S, h, h) array of at most DRAW_STACK_BYTES, factored by one
+    ``np.linalg.cholesky`` call, and y and the draws of the whole stack are
+    each one blocked substitution (:func:`~anomattr.gaussian.solve_lower`).
+    Every LAPACK and BLAS call still sees one subset's matrix, so a subset's
+    draws do not depend on its stack. If a stack does not factor, its
+    matrices are factored one at a time: a subset that fails records its
+    NumericalError, and the others are drawn from their own factors.
+    :meth:`draws`, :meth:`realize` and :meth:`conditional` run the same code
+    on a stack of one. The model is read-only after construction and may be
+    shared between threads.
     """
 
     def __init__(
@@ -224,57 +244,144 @@ class WindowModel:
         ``subset`` is non-empty, free of duplicates, within the series' d
         variables and no larger than :func:`subset_cap` of d.
         """
-        indices = VariableSubset(subset).indices
-        if indices[0] < 0 or indices[-1] >= self.d:
-            raise ConfigError(f"subset {indices} out of range for {self.d} variables")
-        cap = subset_cap(self.d)
-        if len(indices) > cap:
-            raise ConfigError(
-                f"subset size {len(indices)} exceeds the cap of {cap} for {self.d} variables"
-            )
-        steps = np.arange(self.interval.a, self.interval.b) - self.start
-        return (steps[:, None] * self.d + np.array(indices)).ravel()
+        return self._replaced([subset])[1][0]
 
-    def _factor(self, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Replaced indices Q, y_Q and L_QQ of ``subset``; NumericalError if Lambda_HH is not PD."""
-        q_idx = self.replaced(subset)
-        q = q_idx.size
-        hidden = np.concatenate([np.setdiff1d(self.absent, q_idx, assume_unique=True), q_idx])
-        lam_hh = self.precision[np.ix_(hidden, hidden)]  # Q last, so Lambda_HQ = lam_hh[:, -q:]
-        pulled = self.pulled[hidden] - lam_hh[:, -q:] @ self.residual[q_idx]
-        chol = cholesky(lam_hh, f"hidden-cell precision of subset {tuple(subset)}")
+    def _replaced(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """Variables (S, k) and :meth:`replaced` cells (S, |interval| * k) of S subsets of size k."""
+        cap = subset_cap(self.d)
+        indices = [VariableSubset(subset).indices for subset in subsets]
+        for idx in indices:
+            if idx[0] < 0 or idx[-1] >= self.d:
+                raise ConfigError(f"subset {idx} out of range for {self.d} variables")
+            if len(idx) > cap:
+                raise ConfigError(
+                    f"subset size {len(idx)} exceeds the cap of {cap} for {self.d} variables"
+                )
+        if len({len(idx) for idx in indices}) > 1:
+            raise ValueError("a stack of subsets must be of one size")
+        variables = np.array(indices)
+        steps = np.arange(self.interval.a, self.interval.b) - self.start
+        return variables, (steps[:, None] * self.d + variables[:, None, :]).reshape(len(indices), -1)
+
+    def _stacks(self, subsets, failed: dict):
+        """Yield (rows, Q, y_Q, L_QQ) for each stack of ``subsets``, a list of one size.
+
+        ``rows`` are positions in ``subsets``; Q is (S, q), y_Q (S, q, 1) and
+        L_QQ (S, q, q). The subsets are grouped by hidden size h = |A \\ Q| + q,
+        which absent cells inside the interval can change, and each group is
+        split so that its gathered (S, h, h) Lambda_HH stays within
+        DRAW_STACK_BYTES. A subset whose Lambda_HH does not factor is left
+        out of its stack, and its NumericalError is put in ``failed`` under
+        its position.
+        """
+        variables, q_idx = self._replaced(subsets)
+        q = q_idx.shape[1]
+        step, variable = np.divmod(self.absent, self.d)
+        inside = (step >= self.interval.a - self.start) & (step < self.interval.b - self.start)
+        kept = ~(inside & (variable[:, None] == variables[:, None, :]).any(axis=2))  # A \ Q
+        counts = kept.sum(axis=1)
+        for count in sorted(set(counts.tolist())):  # not np.unique: it imports numpy.ma, 0.5 MB
+            group = np.flatnonzero(counts == count)
+            per_stack = max(1, DRAW_STACK_BYTES // (8 * (count + q) ** 2))
+            for lo in range(0, group.size, per_stack):
+                rows = group[lo : lo + per_stack]
+                rest = np.broadcast_to(self.absent, (rows.size, self.absent.size))[kept[rows]]
+                hidden = np.concatenate([rest.reshape(rows.size, count), q_idx[rows]], axis=1)
+                yield from self._factor(rows, hidden, q_idx[rows], subsets, failed)
+
+    def _factor(self, rows, hidden, q_idx, subsets, failed: dict):
+        """Factor the Lambda_HH stack of ``hidden`` (S, h), Q last, in one call; see :meth:`_stacks`."""
+        q = q_idx.shape[1]
+        lam = self.precision[hidden[:, :, None], hidden[:, None, :]]  # Lambda_HQ = lam[..., -q:]
+        pulled = self.pulled[hidden][..., None] - lam[..., -q:] @ self.residual[q_idx][..., None]
+        try:
+            chol = np.linalg.cholesky(lam)
+        except np.linalg.LinAlgError:
+            # Factor the matrices one at a time to find the ones that fail;
+            # the others keep their own factors, so their draws do not change.
+            factors = {}
+            for i, row in enumerate(rows):
+                what = f"hidden-cell precision of subset {tuple(subsets[row])}"
+                try:
+                    factors[i] = cholesky(lam[i], what)
+                except NumericalError as exc:
+                    failed[row] = exc
+            if not factors:
+                return
+            keep = list(factors)
+            rows, q_idx, pulled = rows[keep], q_idx[keep], pulled[keep]
+            chol = np.stack(list(factors.values()))
+        del lam
         y = solve_lower(chol, pulled)
-        return q_idx, y[-q:], chol[-q:, -q:]
+        yield rows, q_idx, y[:, -q:], chol[:, -q:, -q:]
 
     def conditional(self, subset) -> tuple[np.ndarray, np.ndarray]:
         """Mean of the replaced block of ``subset`` given everything kept, and L_QQ.
 
         The covariance of that law is (L_QQ L_QQ')^-1.
         """
-        q_idx, y_q, chol_qq = self._factor(subset)
-        return self.mean[q_idx] - solve_lower(chol_qq, y_q, transpose=True), chol_qq
+        failed = {}  # a stack of one is factored once or fails
+        for _, q_idx, y_q, chol_qq in self._stacks([subset], failed):
+            mean = self.mean[q_idx] - solve_lower(chol_qq, y_q, transpose=True)[..., 0]
+            return mean[0], chol_qq[0]
+        raise failed[0]
+
+    def _realize(self, subsets, normals: np.ndarray) -> list:
+        """Replacements of S subsets of one size from (S, R, q) standard normals.
+
+        Entry i is (R, |interval|, |subset|), or the NumericalError of a
+        subset whose hidden-cell precision does not factor. Row r of
+        ``normals[i]`` gives x_Q = mu_Q + L_QQ'^-1 (z_r - y_Q); each stack
+        solves all its subsets' R rows in one blocked substitution.
+        """
+        out, failed = [None] * len(subsets), {}
+        for rows, q_idx, y_q, chol_qq in self._stacks(subsets, failed):
+            rhs = np.swapaxes(normals[rows], -1, -2) - y_q
+            x = solve_lower(chol_qq, rhs, transpose=True) + self.mean[q_idx][..., None]
+            shape = (rows.size, normals.shape[1], self.interval.length, -1)
+            draws = np.swapaxes(x, -1, -2).reshape(shape)
+            for row, draw in zip(rows, draws):
+                out[row] = draw
+            del chol_qq  # the stack's factor, freed before the next stack is gathered
+        for row, exc in failed.items():
+            out[row] = exc
+        return out
 
     def realize(self, subset, normals: np.ndarray) -> np.ndarray:
-        """Replacements of ``subset`` from standard normals, shaped (R, |interval|, |subset|).
+        """Replacements of ``subset`` from (R, |Q|) standard normals, shaped (R, |interval|, |subset|).
 
-        Row r of the (R, |Q|) ``normals`` gives x_Q = mu_Q + L_QQ'^-1 (z_r - y_Q);
-        all R rows are solved together in one solve.
-        """
-        q_idx, y_q, chol_qq = self._factor(subset)
-        x = solve_lower(chol_qq, normals.T - y_q[:, None], transpose=True) + self.mean[q_idx, None]
-        return x.T.reshape(len(normals), self.interval.length, len(subset))
-
-    def draws(self, subset, seeds) -> np.ndarray:
-        """Seeded replacements of ``subset``, one per seed, shaped (R, |interval|, |subset|).
-
-        Realization r maps ``default_rng(seeds[r]).standard_normal(|Q|)``
-        through :meth:`realize`. The same seeds give the same stack exactly;
-        a realization drawn in another stack agrees to round-off.
+        Row r of ``normals`` gives x_Q = mu_Q + L_QQ'^-1 (z_r - y_Q).
         NumericalError if the hidden-cell precision does not factor.
         """
-        size = self.interval.length * len(subset)
-        normals = np.stack([np.random.default_rng(seed).standard_normal(size) for seed in seeds])
-        return self.realize(subset, normals)
+        return _raised(self._realize([subset], np.asarray(normals, dtype=float)[None])[0])
+
+    def draw_stack(self, subsets, seeds) -> list:
+        """Seeded replacements of S subsets of one size; ``seeds[i]`` seeds ``subsets[i]``.
+
+        Realization r of subset i maps
+        ``default_rng(seeds[i][r]).standard_normal(|Q|)`` through the law of
+        :meth:`realize`. Entry i is (R, |interval|, |subset|), or the
+        NumericalError of a subset whose hidden-cell precision does not
+        factor. Every entry is bit-identical to the subset drawn alone with
+        the same seeds, in any stack and at any position; a realization
+        drawn with other seeds beside it agrees to round-off.
+        """
+        size = self.interval.length * len(subsets[0])
+        normals = np.array(
+            [[np.random.default_rng(seed).standard_normal(size) for seed in row] for row in seeds]
+        )
+        return self._realize(subsets, normals)
+
+    def draws(self, subset, seeds) -> np.ndarray:
+        """:meth:`draw_stack` of ``subset`` alone; NumericalError if it fails."""
+        return _raised(self.draw_stack([subset], [seeds])[0])
+
+
+def _raised(result):
+    """``result``, unless it is the error of a failed subset, which is raised."""
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def apply_replacement(

@@ -27,8 +27,8 @@ centered rows (the scan's gathered from one block's prefix, the naive
 score's and the re-score's summed from rows), and factors it in one call;
 the KL takes its two halves as N pairs. Each stack is
 factored column by column and solved row by row, each step one vectorised
-operation over all N matrices. Solves against one large triangular factor go
-through :func:`solve_lower`.
+operation over all N matrices. Triangular solves against the larger factors
+of attribution, one or a stack of them, go through :func:`solve_lower`.
 """
 
 from __future__ import annotations
@@ -113,27 +113,32 @@ SOLVE_BLOCK = 32
 
 
 def solve_lower(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L x = b, or L' x = b, for a lower triangular L (m, m) and b (m,) or (m, R).
+    """Solve L x = b, or L' x = b, for lower triangular L (..., m, m) and b (..., m, R) or (m,).
 
-    numpy has no triangular solve, and a general solve runs a pivoted LU on
-    the whole factor. This blocked substitution solves only the diagonal
-    blocks of SOLVE_BLOCK rows with ``np.linalg.solve`` and does the rest
-    with matmul.
+    Leading axes are a stack: each matrix of ``chol`` solves its own right-hand
+    sides. numpy has no triangular solve, and a general solve runs a pivoted
+    LU on the whole factor. This blocked substitution solves only the
+    diagonal blocks of SOLVE_BLOCK rows with ``np.linalg.solve`` and does the
+    rest with matmul, one call per block for the whole stack.
     """
-    m = chol.shape[0]
+    m = chol.shape[-1]
     x = np.array(rhs, dtype=float)
+    vector = x.ndim == 1
+    if vector:
+        x = x[:, None]
     starts = range(0, m, SOLVE_BLOCK)
     for s in reversed(starts) if transpose else starts:
         e = min(s + SOLVE_BLOCK, m)
         if transpose:
             if e < m:
-                x[s:e] -= chol[e:, s:e].T @ x[e:]
-            x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e])
+                x[..., s:e, :] -= np.swapaxes(chol[..., e:, s:e], -1, -2) @ x[..., e:, :]
+            block = np.swapaxes(chol[..., s:e, s:e], -1, -2)
         else:
             if s:
-                x[s:e] -= chol[s:e, :s] @ x[:s]
-            x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e])
-    return x
+                x[..., s:e, :] -= chol[..., s:e, :s] @ x[..., :s, :]
+            block = chol[..., s:e, s:e]
+        x[..., s:e, :] = np.linalg.solve(block, x[..., s:e, :])
+    return x[:, 0] if vector else x
 
 
 def interval_score(kl, length: int):

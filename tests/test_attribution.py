@@ -6,6 +6,7 @@ import pytest
 from anomattr import (
     AttributionConfig,
     Detection,
+    EmbeddingConfig,
     Injection,
     Interval,
     LocalRescorer,
@@ -174,29 +175,46 @@ class TestAttribute:
 
         monkeypatch.setattr(LocalRescorer, "score", flaky_score)
 
-    def test_failed_subsets_are_contained(self, monkeypatch):
-        """A subset that fails in its draws (1,), in its hidden-cell precision's
-        Cholesky (2,) or in a re-score's jittered factor (3,) records its error;
-        every other subset is still scored."""
-        series = injected_series(seed=2)
-        iv = Interval(600, 660)
-        real = WindowModel.draws
+    @staticmethod
+    def refusing_factor(monkeypatch, series, interval, subset) -> list[int]:
+        """Make ``np.linalg.cholesky`` raise for any stack that holds the
+        hidden-cell precision of ``subset``; returns the sizes of the stacks
+        it refused."""
+        model = WindowModel.fit(series, interval, EmbeddingConfig())
+        q_idx = model.replaced(subset)
+        hidden = np.concatenate([np.setdiff1d(model.absent, q_idx), q_idx])
+        target = model.precision[np.ix_(hidden, hidden)]
+        real, refused = np.linalg.cholesky, []
 
         def refusing(a):
-            raise np.linalg.LinAlgError("not positive definite")
+            stack = np.reshape(a, (-1, *np.shape(a)[-2:]))
+            if any(np.array_equal(matrix, target) for matrix in stack):
+                refused.append(len(stack))
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a)
 
-        def flaky(model, subset, seeds):
-            if tuple(subset) == (1,):
-                raise EstimationError("synthetic failure")
-            if tuple(subset) != (2,):
-                return real(model, subset, seeds)
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "cholesky", refusing)
-                return real(model, subset, seeds)
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        return refused
 
-        monkeypatch.setattr(WindowModel, "draws", flaky)
+    def test_failed_subsets_are_contained(self, monkeypatch):
+        """A subset that fails in its draws (1,), in its hidden-cell precision's
+        Cholesky (2,), inside the stack it shares with the other singletons,
+        or in a re-score's jittered factor (3,) records its error; every
+        other subset is still scored."""
+        series = injected_series(seed=2)
+        iv = Interval(600, 660)
+        real = WindowModel.draw_stack
+
+        def flaky(model, subsets, seeds):
+            drawn = real(model, subsets, seeds)
+            failure = EstimationError("synthetic failure")
+            return [failure if tuple(s) == (1,) else d for s, d in zip(subsets, drawn)]
+
+        monkeypatch.setattr(WindowModel, "draw_stack", flaky)
+        refused = self.refusing_factor(monkeypatch, series, iv, (2,))
         self.failing_draws(monkeypatch, {((3,), 0), ((3,), 1)})
         report = attribute(series, detection_for(iv), AttributionConfig(realizations=2, seed=1))
+        assert refused == [4, 1]  # the stack of all four singletons, then (2,) alone
         failed = [s for s in report.subsets if s.subset.indices == (1,)][0]
         assert failed.mean_score is None
         assert "synthetic failure" in failed.error
@@ -207,6 +225,26 @@ class TestAttribute:
             assert message in failed.error
         others = [s for s in report.subsets if s.subset.indices not in ((1,), (2,), (3,))]
         assert all(s.mean_score is not None for s in others)
+
+    def test_a_failed_factor_leaves_its_stack_scored(self, monkeypatch):
+        """The hidden-cell precision of (2,) fails to factor inside the stack it
+        shares with the other singletons; only (2,) records the error, and
+        every other subset keeps the scores it gets without the failure."""
+        series = injected_series(seed=2)
+        iv = Interval(600, 660)
+        cfg = AttributionConfig(realizations=2, seed=1)
+        want = attribute(series, detection_for(iv), cfg)
+        refused = self.refusing_factor(monkeypatch, series, iv, (2,))
+        got = attribute(series, detection_for(iv), cfg)
+        assert refused == [4, 1]
+        for before, after in zip(want.subsets, got.subsets):
+            if after.subset.indices == (2,):
+                assert after.mean_score is None and after.error == (
+                    "hidden-cell precision of subset (2,) is not positive definite"
+                )
+            else:
+                assert after.error is None
+                assert (after.mean_score, after.std_score) == (before.mean_score, before.std_score)
 
     def test_one_failed_draw_fails_only_its_subset(self, monkeypatch):
         """Draw 1 of (0, 2) fails inside the stack it shares with every other

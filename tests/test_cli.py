@@ -308,14 +308,16 @@ class TestAttribute:
             (["--offset", "50", "--offset-length", "500"],
              "pre-event window [450, 950) out of range for n=900"),
             (["--offset", "50", "--offset-length", "0"], "offset_length must be >= 1, got 0"),
+            (["--offset", "50", "--offset", "50"], "offsets must be distinct, got 50, 50"),
         ],
-        ids=["rank_2_past_the_end", "zero_length"],
+        ids=["rank_2_past_the_end", "zero_length", "repeated_offset"],
     )
     def test_bad_pre_event_window_exits_2_before_writing(
         self, sim_dir, tmp_path, capsys, monkeypatch, window, problem
     ):
-        """Rank 1's window [50, 550) fits the series; rank 2's does not, or no
-        window has a length. Nothing is scored and no output is written."""
+        """Rank 1's window [50, 550) fits the series; rank 2's does not, no
+        window has a length, or one window would be scored twice. Nothing is
+        scored and no output is written."""
         def refuse(*args, **kwargs):
             raise AssertionError("a subset was scored")
 

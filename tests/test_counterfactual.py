@@ -16,6 +16,7 @@ from anomattr import (
     assemble_joint,
     estimate_stationary,
 )
+from anomattr import counterfactual
 from anomattr.errors import ConfigError, EstimationError
 from anomattr.gaussian import JITTER_FLOOR, jitter_epsilon
 
@@ -531,6 +532,40 @@ class TestSampling:
             cond_jumps.append(abs(draw[0, 0] - left_value))
             uncond_jumps.append(abs(marg_mean + marg_sd * rng2.standard_normal() - left_value))
         assert np.mean(cond_jumps) < np.mean(uncond_jumps)
+
+
+class TestDrawStack:
+    """Drawn in a stack, a subset's draws are bit-identical to its draws alone."""
+
+    def test_a_stack_draws_each_subset_as_alone(self, rng, monkeypatch):
+        """Missing cells in the context (t=199) and inside the interval (t=205,
+        210) give the size-2 subsets three hidden sizes. 90 draws of them, in
+        shuffled order, hold more hidden-cell precision than DRAW_STACK_BYTES
+        and are factored as four stacks."""
+        missing = np.zeros((400, 4), dtype=bool)
+        missing[[199, 205, 210], [0, 1, 2]] = True
+        series = make_series(rng.standard_normal((400, 4)), missing=missing)
+        model = WindowModel.fit(series, Interval(200, 230), EmbeddingConfig(kappa=2))
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        subsets = [pairs[k] for k in rng.permutation(np.arange(90) % len(pairs))]
+        seeds = [[np.random.SeedSequence([7, k, r]) for r in range(3)] for k in range(90)]
+        real, shapes = np.linalg.cholesky, []
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", recording)
+            stack = model.draw_stack(subsets, seeds)
+        # Q is 60 cells; (1, 2) hides both inside cells, (0, 3) neither.
+        assert sorted(shape[-1] for shape in shapes) == [61, 62, 62, 63]
+        assert sum(shape[0] for shape in shapes) == 90
+        assert max(8 * np.prod(shape) for shape in shapes) <= counterfactual.DRAW_STACK_BYTES
+        assert 8 * 60 * 62**2 > counterfactual.DRAW_STACK_BYTES
+        for subset, row, drawn in zip(subsets, seeds, stack):
+            assert drawn.shape == (3, 30, 2)
+            assert np.array_equal(drawn, model.draws(subset, row))
 
 
 class TestApplyReplacement:

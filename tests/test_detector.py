@@ -286,6 +286,7 @@ class TestOneFactorization:
                 VariableSubset((0, 2)), rescorer.score([(0, 2)], block[None]), interval
             ),
             "sampler": lambda: model.draws((1,), [0, 1, 2]),
+            "stack_sampler": lambda: model.draw_stack([(2,), (0,), (1,)], [[0, 1, 2]] * 3),
         }
         return series, interval, paths
 
@@ -303,7 +304,8 @@ class TestOneFactorization:
         assert sum(factored) == 2
 
     def test_one_factorization_per_subset(self, case, monkeypatch):
-        """R=3 draws of one subset factor one matrix and invert none."""
+        """R=3 draws of one subset factor one matrix and invert none; a stack of
+        three subsets factors three matrices in one call."""
         real_cholesky, real_inv = np.linalg.cholesky, np.linalg.inv
         factored, inverted = [], []
 
@@ -320,6 +322,10 @@ class TestOneFactorization:
         draws = case[2]["sampler"]()
         assert draws.shape == (3, case[1].length, 1)
         assert factored == [1]
+        assert inverted == []
+        stack = case[2]["stack_sampler"]()
+        assert [draws.shape for draws in stack] == [(3, case[1].length, 1)] * 3
+        assert factored == [1, 3]
         assert inverted == []
 
     @pytest.mark.parametrize("path", ["score_interval", "local_rescore", "sampler"])

@@ -275,6 +275,23 @@ class TestSolveLower:
         assert got.shape == rhs.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("stack", [1, 5])
+    @pytest.mark.parametrize("m", [1, 33, 70])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("columns", [1, 4])
+    def test_a_stack_matches_general_solve(self, rng, stack, m, transpose, columns):
+        """Each matrix of a stack solves its own right-hand sides, exactly as it
+        does alone."""
+        a = rng.normal(size=(stack, m, m))
+        chol = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) / m + np.eye(m))
+        rhs = rng.normal(size=(stack, m, columns))
+        want = np.linalg.solve(np.swapaxes(chol, -1, -2) if transpose else chol, rhs)
+        got = solve_lower(chol, rhs, transpose=transpose)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for i in range(stack):
+            assert np.array_equal(got[i], solve_lower(chol[i], rhs[i], transpose=transpose))
+
 
 class TestUnbiasedKl:
     """interval_score, the length weighting 2 * |I| * KL (once named unbiased_kl)."""
