@@ -17,10 +17,14 @@ The scan scores its grid in blocks of ``SCAN_BLOCK`` starts, with block
 boundaries at multiples of ``SCAN_BLOCK`` in start time. The centered rows,
 their usable flags and the whole-series totals are built once
 (:class:`_ScanRows`); each block builds one prefix over the rows its
-candidates read and scores every length from it. Each candidate costs
+candidates read and scores every length from it. A length's starts in a
+block are an evenly spaced run, so their prefix columns are read through
+basic slices, not gathered (:func:`_runs`). Each candidate costs
 O(width^3) whatever its length, and the scan's memory is
 O((SCAN_BLOCK + len_max) * width^2) whatever the length of the series. The
 scan is required (and tested) to match naive per-interval re-estimation.
+Suppression reads only the best candidates: :func:`_select` sorts a window
+of them and widens it only if it runs out before ``top_k``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ScoringError
 from .gaussian import interval_score, jittered_cholesky, kl_from_factors
-from .series import Embedding, EmbeddingConfig, Interval, MultivariateSeries, delay_rows, embed
+from .series import (
+    Embedding,
+    EmbeddingConfig,
+    Interval,
+    MultivariateSeries,
+    delay_missing,
+    delay_rows,
+    embed,
+)
 
 log = logging.getLogger(__name__)
 
@@ -196,21 +208,42 @@ class LocalRescorer:
         self.fixed = _row_sums(rows[None, fixed], ~emb.missing[None, fixed])
         self.block_start = lo - history
         self.block_missing = series.missing[self.block_start : hi]
+        self.step_missing = self.block_missing.any(axis=1)
         # Missing cells hold NaN, and NaN times a zero weight is still NaN.
         self.block_values = np.where(self.block_missing, 0.0, series.values[self.block_start : hi])
         self.interval_rows = np.arange(interval.a, interval.b) - self.block_start
+        # The variables with a missing cell in [a, b), and the usable row
+        # counts while none of them is replaced.
+        self.gaps = frozenset(
+            np.flatnonzero(self.block_missing[self.interval_rows].any(axis=0)).tolist()
+        )
+        self.unfilled = self._count(self.step_missing)
 
     def check(self, columns) -> None:
-        """ScoringError unless both sides can be fitted once ``columns`` are replaced.
+        """ScoringError unless both sides can be fitted once ``columns`` are replaced."""
+        _check_row_counts(self.interval, *self._usable(columns), self.width)
 
-        The usable rows do not depend on the values written.
+    def _usable(self, columns) -> tuple[int, int]:
+        """Usable inside and outside rows once ``columns`` are replaced.
+
+        They depend only on which cells are missing, not on the values
+        written, so no row is embedded; replacing a variable with no missing
+        cell in [a, b) changes none of them.
         """
-        missing = self.block_missing.copy()
-        missing[self.interval_rows[:, None], np.asarray(columns)] = False
-        usable = ~delay_rows(self.block_values, missing, self.cfg)[1]
-        n_in = int(usable[: self.n_inside].sum())
-        n_out = int(self.fixed[0][0] + usable[self.n_inside :].sum())
-        _check_row_counts(self.interval, n_in, n_out, self.width)
+        filled = self.gaps.intersection(map(int, columns))
+        if not filled:
+            return self.unfilled
+        others = np.ones(self.block_missing.shape[1], dtype=bool)
+        others[list(filled)] = False
+        steps = self.step_missing.copy()
+        steps[self.interval_rows] = self.block_missing[self.interval_rows][:, others].any(axis=1)
+        return self._count(steps)
+
+    def _count(self, steps: np.ndarray) -> tuple[int, int]:
+        """Usable inside and outside rows, with the block's steps flagged ``steps``."""
+        usable = ~delay_missing(steps, self.cfg)
+        k = self.n_inside
+        return int(usable[:k].sum()), int(self.fixed[0][0] + usable[k:].sum())
 
     def score(self, columns, blocks: np.ndarray) -> np.ndarray:
         """Scores of the interval with ``blocks[p]`` written into ``columns[p]`` over [a, b).
@@ -258,7 +291,8 @@ class PrefixScanner:
     :meth:`_row_range`'s indices is a candidate's usable inside count; its
     outside is the whole-series totals minus its inside. The prefix index is
     the last axis (``sums`` (width, rows + 1), packed ``outer_sums``
-    (width(width+1)/2, rows + 1)), so a gather gives the stacks that
+    (width(width+1)/2, rows + 1)), so a slice of prefix columns, or a gather
+    where the starts are not an evenly spaced run, gives the stacks that
     :func:`_fit` turns into factors. Memory is O(rows * width^2).
     """
 
@@ -301,44 +335,66 @@ class PrefixScanner:
         out = np.full(starts.shape, np.nan)
         if not ok.any():
             return out
-        lo, hi = lo[ok], hi[ok]
+        runs = _runs(lo[ok], hi[ok])
         # The sums are call temporaries, freed before the divergence runs.
         out[ok] = _scores(
             *_fit(
                 np.concatenate([cnt_in[ok], cnt_out[ok]]),
-                self._gather(self.sums, total_sum, lo, hi),
-                self._gather(self.outer_sums, total_outer, lo, hi),
+                self._gather(self.sums, total_sum, runs),
+                self._gather(self.outer_sums, total_outer, runs),
             ),
             length,
         )
         return out
 
     @staticmethod
-    def _gather(prefix: np.ndarray, total: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    def _gather(prefix: np.ndarray, total: np.ndarray, runs):
         """Inside sums ``prefix[:, hi] - prefix[:, lo]`` and outside sums ``total``
-        minus them, side by side as one (k, 2N) array."""
+        minus them, side by side as one (k, 2N) array; ``runs`` is :func:`_runs`
+        of ``lo`` and ``hi``."""
         # Built in place: concatenating the two sides leaves more freed
         # temporaries behind, enough for glibc's allocator to return the
         # memory to the operating system after each call and fault it in
         # again on the next.
-        sides = np.empty((len(prefix), 2, len(lo)))
+        n = runs[-1][0].stop  # the tail ends at N
+        sides = np.empty((len(prefix), 2, n))
         inside, outside = sides[:, 0], sides[:, 1]
-        np.take(prefix, hi, axis=1, out=inside)
-        inside -= np.take(prefix, lo, axis=1)
+        for part, lo, hi in runs:
+            np.subtract(prefix[:, hi], prefix[:, lo], out=inside[:, part])
         np.subtract(total, inside, out=outside)
         return sides.reshape(len(prefix), -1)
 
 
+def _runs(lo: np.ndarray, hi: np.ndarray):
+    """Prefix indices ``lo`` and ``hi`` (N,) as (part, lo, hi) triples that cover 0..N.
+
+    The last triple is the longest tail in which both step evenly, as basic
+    slices, so that reading it costs no gather; before it, if anything, the
+    head as index arrays. A scan call's starts are an evenly spaced run, so
+    only a head clipped to the prefix's first row, or a gap left by a
+    dropped candidate, is gathered.
+    """
+    n = len(lo)
+    step = int(lo[-1] - lo[-2]) if n > 1 else 1
+    if step > 0:
+        off = np.flatnonzero((np.diff(lo) != step) | (np.diff(hi) != step))
+        k = int(off[-1]) + 1 if off.size else 0
+    else:
+        k, step = n - 1, 1
+    tail = (slice(k, n), slice(lo[k], lo[-1] + 1, step), slice(hi[k], hi[-1] + 1, step))
+    return [(slice(0, k), lo[:k], hi[:k]), tail] if k else [tail]
+
+
 def _fit(counts: np.ndarray, sums: np.ndarray, outer: np.ndarray):
-    """Means (width, N) and jittered covariance factors (width, width, N) from moment sums.
+    """Means (width, N) and jittered covariance factors (width, width, N, lower triangles) from moment sums.
 
     The sums are those of :func:`_row_sums`, stack last: ``counts`` (N,),
     ``sums`` (width, N) and ``outer`` (width(width+1)/2, N), which is
     overwritten. One pass over sums of centered rows, so
     ``outer / count - mean mean'`` does not cancel. The covariances are
     unpacked into the lower triangle of the stack that
-    :func:`~.gaussian.jittered_cholesky` factors in place; it never reads
-    the upper triangle and zeroes it.
+    :func:`~.gaussian.jittered_cholesky` factors in place. Nothing reads
+    the upper triangles, so they are never set.
     """
     counts = counts.astype(float)
     mean = sums / counts
@@ -353,9 +409,40 @@ def _fit(counts: np.ndarray, sums: np.ndarray, outer: np.ndarray):
     return mean, jittered_cholesky(covs)
 
 
-def _suppress(scores, starts, lens, order, top_k: int) -> list[Detection]:
-    """Greedy non-intersecting selection in descending score order."""
+#: Candidates per requested detection in the first sorted window of
+#: :func:`_select`; each time suppression runs out of sorted candidates, the
+#: window grows fourfold.
+SELECT_WINDOW = 64
+
+
+def _select(scores, starts, lens, top_k: int) -> list[Detection]:
+    """Greedy non-intersecting top-k of the candidates, as a walk over all of them
+    in descending score order, ties broken on (start, length), would give.
+
+    Only a window of the best is sorted: every candidate that scores at
+    least the window's worst, ties included, so the window is a prefix of
+    the full order. Suppression walks it and, if it runs out before
+    ``top_k``, goes on into the next, larger window.
+    """
     accepted: list[Detection] = []
+    walked = 0
+    window = SELECT_WINDOW * top_k
+    while True:
+        if window >= scores.size:
+            best = np.arange(scores.size)
+        else:
+            cut = np.partition(scores, scores.size - window)[scores.size - window]
+            best = np.flatnonzero(scores >= cut)
+        order = best[np.lexsort((lens[best], starts[best], -scores[best]))]
+        _suppress(scores, starts, lens, order[walked:], top_k, accepted)
+        if len(accepted) == top_k or best.size == scores.size:
+            return accepted
+        walked = order.size
+        window *= 4
+
+
+def _suppress(scores, starts, lens, order, top_k: int, accepted: list[Detection]) -> None:
+    """Greedy non-intersecting selection in the given order, appended to ``accepted``."""
     for i in order:
         iv = Interval(int(starts[i]), int(starts[i] + lens[i]))
         if any(iv.intersects(det.interval) for det in accepted):
@@ -363,7 +450,6 @@ def _suppress(scores, starts, lens, order, top_k: int) -> list[Detection]:
         accepted.append(Detection(interval=iv, score=float(scores[i]), rank=len(accepted) + 1))
         if len(accepted) == top_k:
             break
-    return accepted
 
 
 def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> list[Detection]:
@@ -375,7 +461,8 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     lengths of one block, so neither the blocks nor the scores depend on
     ``threads``. Suppression is greedy: candidates are taken in descending
     score order and discarded if they intersect an accepted one. Ties break
-    deterministically on (start, length).
+    deterministically on (start, length). Only as many of the best are
+    sorted as suppression needs (:func:`_select`).
     """
     n = series.n
     if threads < 1:
@@ -418,8 +505,7 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     scores = np.concatenate(all_scores)
     starts = np.concatenate(all_starts)
     lens = np.concatenate(all_lengths)
-    order = np.lexsort((lens, starts, -scores))
-    detections = _suppress(scores, starts, lens, order, cfg.top_k)
+    detections = _select(scores, starts, lens, cfg.top_k)
     log.info(
         "scan over %d candidates produced %d detection(s)", scores.size, len(detections)
     )

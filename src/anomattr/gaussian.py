@@ -27,7 +27,10 @@ centered rows (the scan's gathered from one block's prefix, the naive
 score's and the re-score's summed from rows), and factors it in one call;
 the KL takes its two halves as N pairs. Each stack is
 factored column by column and solved row by row, each step one vectorised
-operation over all N matrices. Triangular solves against the larger factors
+operation over all N matrices. A factor is the lower triangle of its
+array; the upper one is never read. The solve skips the known zeros of its
+right-hand side, the factor Lp, where that saves more than the call it
+costs. Triangular solves against the larger factors
 of attribution, one or a stack of them, go through :func:`solve_lower`.
 """
 
@@ -51,50 +54,68 @@ def jitter_epsilon(cov: np.ndarray):
 
 
 def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
-    """Jitter and factor every covariance of an (m, m, N) stack, in place; returns ``covs``.
+    """Jitter and factor the lower triangle of every covariance of an (m, m, N) stack, in place.
 
-    Column j of the Cholesky-Crout recursion is one vectorised step over all
-    N matrices, and the upper triangles are zeroed. A pivot that is not > 0
-    turns into NaN, which runs on into every later pivot of its matrix; a
-    matrix that does not factor is then NaN as a whole, so only its
-    divergence in :func:`kl_from_factors` is NaN.
+    Returns ``covs``, whose lower triangle (diagonal included) is then the
+    factor; the upper triangle is never read, and it keeps what it held
+    unless its matrix fails. The jitter goes onto a strided view of the
+    diagonals. Column j of the Cholesky-Crout recursion is one vectorised
+    step over all N matrices. A pivot that is not > 0 turns into NaN, which
+    runs on into every later pivot of its matrix; a matrix that does not
+    factor is then NaN as a whole, so only its divergence in
+    :func:`kl_from_factors` is NaN.
     """
     m = covs.shape[0]
-    diag = np.arange(m)
-    covs[diag, diag] += jitter_epsilon(covs)
+    np.einsum("iin->in", covs)[...] += jitter_epsilon(covs)
     for j in range(m):
         if j:
             covs[j:, j] -= np.einsum("ikn,kn->in", covs[j:, :j], covs[j, :j])
         pivot = covs[j, j]
-        pivot[~(pivot > 0)] = np.nan
+        pivot[pivot <= 0] = np.nan  # a NaN pivot is NaN already
         np.sqrt(pivot, out=pivot)
         covs[j + 1 :, j] /= pivot
-        covs[j, j + 1 :] = 0.0
     failed = np.isnan(covs[m - 1, m - 1])
     if failed.any():
         covs[:, :, failed] = np.nan
     return covs
 
 
+#: Multiply-adds on known zeros, over the whole stack, from which
+#: :func:`kl_from_factors` splits a row's update in two to skip them; below
+#: it the second ``einsum`` call costs more than the work it saves.
+KL_SPLIT_WORK = 1 << 13
+
+
 def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
     """KL(p || q) of each of N pairs, from means (m, N) and lower Cholesky factors (m, m, N).
 
-    The log-determinants come from the factor diagonals, the other terms
-    from the sum of squares of X = Lq^-1 [mu_q - mu_p | Lp], solved row by
-    row for all pairs at once; row i of X is zero past column i + 1. The
-    value is not clamped at zero; a pair with a NaN factor gets NaN.
+    Only the lower triangles of the factors are read. The log-determinants
+    come from the factor diagonals, the other terms from the sum of squares
+    of X = Lq^-1 [mu_q - mu_p | Lp], solved row by row for all pairs at
+    once. Row i of X is zero past column i + 1, so column c > 0 of row i
+    sums only over rows c - 1 .. i - 1; each row's update is split into two
+    column ranges where that skips at least ``KL_SPLIT_WORK`` multiply-adds
+    on zeros. The value is not clamped at zero; a pair with a NaN factor
+    gets NaN.
     """
     m, n = mu_p.shape
     half_logdet_p, half_logdet_q = (
         np.log(np.diagonal(l, axis1=0, axis2=1)).sum(axis=-1) for l in (chol_p, chol_q)
     )
+    # Filled row by row, so the zeros past column i + 1 are never written
+    # and their untouched pages add nothing to the resident set.
     x = np.zeros((m, m + 1, n))
+    np.subtract(mu_q, mu_p, out=x[:, 0])
     for i in range(m):
         row = x[i, : i + 2]
-        row[0] = mu_q[i] - mu_p[i]
         row[1:] = chol_p[i, : i + 1]
         if i:
-            row -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, : i + 2])
+            h = (i + 3) // 2  # columns h.. are zero in rows before h - 1
+            if (h - 1) * (i + 2 - h) * n >= KL_SPLIT_WORK:
+                row[:h] -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, :h])
+                row[h:] -= np.einsum("kn,kjn->jn", chol_q[i, h - 1 : i], x[h - 1 : i, h : i + 2])
+            else:
+                row -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, : i + 2])
         row /= chol_q[i, i]
     squares = np.einsum("ijn,ijn->n", x, x)
     return 0.5 * (squares + 2.0 * (half_logdet_q - half_logdet_p) - m)

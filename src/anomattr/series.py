@@ -139,6 +139,11 @@ class Embedding:
         return self.values.shape[1]
 
 
+def _lags(m: int, cfg: EmbeddingConfig) -> list[slice]:
+    """The steps of an m-step block that lag k of every embedded row reads, k = 0..kappa-1."""
+    return [slice(cfg.history - k * cfg.tau, m - k * cfg.tau) for k in range(cfg.kappa)]
+
+
 def delay_rows(
     values: np.ndarray, missing: np.ndarray, cfg: EmbeddingConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +152,18 @@ def delay_rows(
     Row ``i`` is anchored at block time ``i + history``; see :class:`Embedding`.
     A stack of blocks (P, m, d) gives (P, rows, kappa * d) and (P, rows).
     """
-    m = values.shape[-2]
-    lags = [slice(cfg.history - k * cfg.tau, m - k * cfg.tau) for k in range(cfg.kappa)]
+    lags = _lags(values.shape[-2], cfg)
     values = np.concatenate([values[..., lag, :] for lag in lags], axis=-1)
-    missing = np.concatenate([missing[..., lag, :] for lag in lags], axis=-1)
-    return values, missing.any(axis=-1)
+    return values, delay_missing(missing.any(axis=-1), cfg)
+
+
+def delay_missing(steps: np.ndarray, cfg: EmbeddingConfig) -> np.ndarray:
+    """Missing flags of the delay-embedded rows of a block whose steps are flagged (..., m).
+
+    A step is flagged if any of its cells is missing, and a row is missing
+    if any step it reads is; the flags of :func:`delay_rows`, without the values.
+    """
+    return np.logical_or.reduce([steps[..., lag] for lag in _lags(steps.shape[-1], cfg)])
 
 
 def embed(series: MultivariateSeries, cfg: EmbeddingConfig) -> Embedding:

@@ -154,6 +154,47 @@ class TestUnderdetermined:
         with pytest.raises(ScoringError, match="width"):
             LocalRescorer(clumped, iv, EMB).check((0,))
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_rescorer_counts_match_a_re_embedding(self, tau):
+        """The rescorer counts usable rows from the missing flags alone; they
+        equal a count over the series with the replaced cells observed."""
+        cfg = EmbeddingConfig(kappa=3, tau=tau)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((120, 3))
+        missing = np.zeros(values.shape, dtype=bool)
+        iv = Interval(50, 80)
+        missing[[46, 48, 55, 60, 61, 62, 70, 79, 81, 83], [0, 1, 2, 2, 0, 2, 1, 2, 0, 1]] = True
+        missing[10, 1] = True  # a fixed outside row
+        series = make_series(values, missing=missing)
+        rescorer = LocalRescorer(series, iv, cfg)
+        assert rescorer.gaps == {0, 1, 2}
+        for columns in [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)]:
+            filled = missing.copy()
+            filled[iv.a : iv.b, list(columns)] = False
+            want = oracles.usable_counts(filled, iv.a, iv.b, cfg.kappa, tau)
+            assert rescorer._usable(columns) == want, columns
+
+    def test_rescorer_refuses_like_score_interval(self):
+        """check raises score_interval's error text on the series with the
+        replaced cells observed."""
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((150, 2))
+        missing = np.zeros(values.shape, dtype=bool)
+        iv = Interval(60, 90)
+        missing[60:90:2, 0] = True  # every other step of variable 0 inside
+        missing[58, 1] = True  # in the context before a
+        series = make_series(values, missing=missing)
+        rescorer = LocalRescorer(series, iv, EMB)
+        with pytest.raises(ScoringError) as refused:
+            score_interval(series, iv, EMB)
+        with pytest.raises(ScoringError) as checked:
+            rescorer.check((1,))
+        assert str(checked.value) == str(refused.value)
+        rescorer.check((0,))  # filled: enough rows
+        filled = missing.copy()
+        filled[iv.a : iv.b, 0] = False
+        score_interval(make_series(values, missing=filled), iv, EMB)
+
     def test_detect_ranks_only_determined_candidates(self, clumped):
         emb = embed(clumped, EMB)
         dets = detect(clumped, ScanConfig(len_min=20, len_max=40, top_k=3, embedding=EMB))
@@ -384,6 +425,62 @@ class TestOneFactorization:
         assert got[keep].tolist() == want[keep].tolist()
 
 
+class TestSelect:
+    """Suppression sorts only a window of the best candidates, widened until
+    it yields top_k; it must pick what a walk over a full sort picks."""
+
+    @staticmethod
+    def picked(scores, starts, lens, top_k):
+        dets = detector._select(scores, starts, lens, top_k)
+        assert [d.rank for d in dets] == list(range(1, len(dets) + 1))
+        return [(d.interval.a, d.interval.b, d.score) for d in dets]
+
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    @pytest.mark.parametrize("top_k", [1, 2, 5])
+    def test_ties_at_the_cut(self, monkeypatch, window, top_k):
+        monkeypatch.setattr(detector, "SELECT_WINDOW", window)
+        rng = np.random.default_rng(100 * window + top_k)
+        starts, lens = (g.ravel() for g in np.meshgrid(np.arange(0, 400, 7), np.arange(5, 12)))
+        scores = rng.integers(0, 6, size=starts.size) / 4.0  # few values: many exact ties
+        cut = np.sort(scores)[::-1][window * top_k - 1]
+        assert (scores == cut).sum() > 1
+        want = oracles.select_by_full_sort(scores, starts, lens, top_k)
+        assert self.picked(scores, starts, lens, top_k) == want
+        assert len(want) == top_k
+
+    def test_widens_when_the_first_window_meets_rank_one(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        top_k = 3
+        # 500 strong candidates that all overlap [1000, 1020), then weak ones elsewhere.
+        near_starts = rng.integers(960, 1010, size=500)
+        near_lens = rng.integers(20, 60, size=500)
+        _, unique = np.unique(np.c_[near_starts, near_lens], axis=0, return_index=True)
+        far_starts = np.arange(0, 900, 3)
+        starts = np.r_[near_starts[unique], far_starts]
+        lens = np.r_[near_lens[unique], np.full(far_starts.size, 10)]
+        scores = np.r_[rng.uniform(50, 60, unique.size), rng.uniform(0, 40, far_starts.size)]
+        scores[0] = 100.0
+        assert unique.size > detector.SELECT_WINDOW * top_k
+        real, walks = detector._suppress, []
+
+        def counting(*args):
+            walks.append(len(args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(detector, "_suppress", counting)
+        want = oracles.select_by_full_sort(scores, starts, lens, top_k)
+        assert self.picked(scores, starts, lens, top_k) == want
+        assert len(walks) > 1  # the first window ran out
+        assert want[0][2] == 100.0 and len(want) == top_k
+
+    def test_fewer_disjoint_candidates_than_top_k(self):
+        starts = np.array([0, 1, 2, 3])
+        lens = np.array([10, 10, 10, 10])
+        scores = np.array([1.0, 3.0, 2.0, 3.0])
+        want = oracles.select_by_full_sort(scores, starts, lens, 4)
+        assert self.picked(scores, starts, lens, 4) == want == [(1, 11, 3.0)]
+
+
 class TestBlockedScan:
     """The scan scores its grid in blocks of SCAN_BLOCK starts, each from its
     own prefix over the rows it reads; a candidate scores the same whichever
@@ -447,6 +544,76 @@ class TestBlockedScan:
         assert [d.interval for d in serial] == [d.interval for d in whole]
         for got, want in zip(serial, whole):
             assert got.score == pytest.approx(want.score, rel=1e-10)
+
+
+class TestSliceGather:
+    """score_batch reads an evenly spaced run of starts through basic slices
+    and anything else through a gather; the two give the same scores."""
+
+    @pytest.fixture
+    def series(self):
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((260, 2))
+        values[120:150] += 2.0
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[[40, 41, 42, 43, 44, 200], [0, 0, 1, 1, 0, 1]] = True
+        return make_series(values, missing=missing)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("length", [8, 12, 30])
+    def test_run_equals_shuffled_starts(self, series, stride, length):
+        scanner = PrefixScanner(embed(series, EMB))
+        starts = np.arange(0, series.n - length + 1, stride)  # from 0: the head clips
+        lo, hi = scanner._row_range(starts, length)
+        clipped = int((starts < scanner.lead).sum())  # to the prefix's first row
+        assert clipped >= 1 and np.all(lo[:clipped] == 0)
+        _, tail = detector._runs(lo, hi)
+        assert isinstance(tail[1], slice) and tail[0] == slice(clipped, len(starts))
+        run = scanner.score_batch(starts, length)
+        shuffle = np.random.default_rng(stride).permutation(len(starts))
+        shuffled = np.empty_like(run)
+        shuffled[shuffle] = scanner.score_batch(starts[shuffle], length)
+        assert np.array_equal(run, shuffled, equal_nan=True)
+        assert np.isfinite(run).sum() > len(run) // 2
+        # Short candidates over the missing rows are dropped, leaving gaps in the run.
+        assert np.isnan(run).any() == (length < 20)
+        # A single start is a run of one: its sums equal a gather's. (Its
+        # score may differ from the run's in the last bit, since the kernels
+        # may sum a stack of one in another order.)
+        _, sums, outer = scanner.whole.totals
+        for i in (0, len(starts) // 2, len(starts) - 1):
+            one = lo[i : i + 1], hi[i : i + 1]
+            (part, *slices), = detector._runs(*one)
+            assert part == slice(0, 1) and all(isinstance(x, slice) for x in slices)
+            for prefix, total in ((scanner.sums, sums), (scanner.outer_sums, outer)):
+                sliced = scanner._gather(prefix, total, [(part, *slices)])
+                gathered = scanner._gather(prefix, total, [(part, *one)])
+                assert np.array_equal(sliced, gathered)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, run_from",
+    [
+        ([0, 0, 0, 1, 2, 3], [5, 6, 7, 8, 9, 10], 2),  # head clipped to row 0
+        ([0, 2, 4, 6], [3, 5, 7, 7], 3),  # hi clipped at the end: only the last reads as a run
+        ([0, 3, 6, 12, 15, 18], [9, 12, 15, 21, 24, 27], 3),  # a dropped candidate's gap
+        ([4], [9], 0),  # a single start
+        ([5, 5, 5], [5, 5, 5], 2),  # no step
+        ([7, 2, 9, 4], [10, 5, 12, 7], 3),  # shuffled
+    ],
+)
+def test_runs_cover_the_indices(lo, hi, run_from):
+    """_runs splits prefix indices into a gathered head and a sliced tail
+    that read exactly the indices given."""
+    lo, hi = np.array(lo), np.array(hi)
+    runs = detector._runs(lo, hi)
+    assert runs[-1][0] == slice(run_from, len(lo))
+    assert all(isinstance(x, slice) for x in runs[-1])
+    assert [i for part, _, _ in runs for i in range(len(lo))[part]] == list(range(len(lo)))
+    columns = np.arange(40)
+    for part, lo_part, hi_part in runs:
+        assert np.array_equal(columns[lo_part], lo[part])
+        assert np.array_equal(columns[hi_part], hi[part])
 
 
 def test_scan_memory_is_bounded_by_the_embedding():
@@ -527,6 +694,39 @@ class TestDetect:
                 except ScoringError:
                     continue
                 assert s <= weakest + 1e-9
+
+    def test_long_plant_widens_the_sorted_window(self, monkeypatch):
+        """A long plant scanned over a wide length range: more than the first
+        sorted window of candidates meets rank 1, so suppression widens it,
+        and the detections are those of a full sort."""
+        spec = SynthSpec(
+            n=1200,
+            d=2,
+            seed=5,
+            anomalies=(
+                Injection(Interval(300, 460), (0, 1), "mean_shift", 3.0),
+                Injection(Interval(800, 840), (0,), "mean_shift", 2.0),
+            ),
+        )
+        series, _ = generate(spec)
+        cfg = ScanConfig(len_min=20, len_max=200, top_k=3, embedding=EMB)
+        real, seen = detector._select, []
+
+        def recording(scores, starts, lens, top_k):
+            seen.append((scores, starts, lens))
+            return real(scores, starts, lens, top_k)
+
+        monkeypatch.setattr(detector, "_select", recording)
+        dets = detect(series, cfg)
+        scores, starts, lens = seen[0]
+        window = np.lexsort((lens, starts, -scores))[: detector.SELECT_WINDOW * cfg.top_k]
+        first = dets[0].interval
+        assert all(first.intersects(Interval(int(starts[i]), int(starts[i] + lens[i])))
+                   for i in window)
+        want = oracles.select_by_full_sort(scores, starts, lens, cfg.top_k)
+        assert [(d.interval.a, d.interval.b, d.score) for d in dets] == want
+        monkeypatch.setattr(detector, "SELECT_WINDOW", scores.size)  # one full sort
+        assert detect(series, cfg) == dets
 
     def test_determinism(self, rng):
         series, _ = shifted_series(rng)
