@@ -212,12 +212,6 @@ class LocalRescorer:
         # Missing cells hold NaN, and NaN times a zero weight is still NaN.
         self.block_values = np.where(self.block_missing, 0.0, series.values[self.block_start : hi])
         self.interval_rows = np.arange(interval.a, interval.b) - self.block_start
-        # The variables with a missing cell in [a, b), and the usable row
-        # counts while none of them is replaced.
-        self.gaps = frozenset(
-            np.flatnonzero(self.block_missing[self.interval_rows].any(axis=0)).tolist()
-        )
-        self.unfilled = self._count(self.step_missing)
 
     def check(self, columns) -> None:
         """ScoringError unless both sides can be fitted once ``columns`` are replaced."""
@@ -227,20 +221,13 @@ class LocalRescorer:
         """Usable inside and outside rows once ``columns`` are replaced.
 
         They depend only on which cells are missing, not on the values
-        written, so no row is embedded; replacing a variable with no missing
-        cell in [a, b) changes none of them.
+        written, so no row is embedded: a step in [a, b) is flagged when a
+        variable outside ``columns`` misses a cell there.
         """
-        filled = self.gaps.intersection(map(int, columns))
-        if not filled:
-            return self.unfilled
         others = np.ones(self.block_missing.shape[1], dtype=bool)
-        others[list(filled)] = False
+        others[list(columns)] = False
         steps = self.step_missing.copy()
         steps[self.interval_rows] = self.block_missing[self.interval_rows][:, others].any(axis=1)
-        return self._count(steps)
-
-    def _count(self, steps: np.ndarray) -> tuple[int, int]:
-        """Usable inside and outside rows, with the block's steps flagged ``steps``."""
         usable = ~delay_missing(steps, self.cfg)
         k = self.n_inside
         return int(usable[:k].sum()), int(self.fixed[0][0] + usable[k:].sum())

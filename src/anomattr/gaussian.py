@@ -28,10 +28,9 @@ score's and the re-score's summed from rows), and factors it in one call;
 the KL takes its two halves as N pairs. Each stack is
 factored column by column and solved row by row, each step one vectorised
 operation over all N matrices. A factor is the lower triangle of its
-array; the upper one is never read. The solve skips the known zeros of its
-right-hand side, the factor Lp, where that saves more than the call it
-costs. Triangular solves against the larger factors
-of attribution, one or a stack of them, go through :func:`solve_lower`.
+array; the upper one is never read. Triangular solves against the larger
+factors of attribution, one or a stack of them, go through
+:func:`solve_lower`.
 """
 
 from __future__ import annotations
@@ -80,23 +79,15 @@ def jittered_cholesky(covs: np.ndarray) -> np.ndarray:
     return covs
 
 
-#: Multiply-adds on known zeros, over the whole stack, from which
-#: :func:`kl_from_factors` splits a row's update in two to skip them; below
-#: it the second ``einsum`` call costs more than the work it saves.
-KL_SPLIT_WORK = 1 << 13
-
-
 def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
     """KL(p || q) of each of N pairs, from means (m, N) and lower Cholesky factors (m, m, N).
 
     Only the lower triangles of the factors are read. The log-determinants
     come from the factor diagonals, the other terms from the sum of squares
     of X = Lq^-1 [mu_q - mu_p | Lp], solved row by row for all pairs at
-    once. Row i of X is zero past column i + 1, so column c > 0 of row i
-    sums only over rows c - 1 .. i - 1; each row's update is split into two
-    column ranges where that skips at least ``KL_SPLIT_WORK`` multiply-adds
-    on zeros. The value is not clamped at zero; a pair with a NaN factor
-    gets NaN.
+    once. Row i of X is zero past column i + 1, so its update reads only
+    columns 0 .. i + 1. The value is not clamped at zero; a pair with a NaN
+    factor gets NaN.
     """
     m, n = mu_p.shape
     half_logdet_p, half_logdet_q = (
@@ -110,12 +101,7 @@ def kl_from_factors(mu_p, chol_p, mu_q, chol_q):
         row = x[i, : i + 2]
         row[1:] = chol_p[i, : i + 1]
         if i:
-            h = (i + 3) // 2  # columns h.. are zero in rows before h - 1
-            if (h - 1) * (i + 2 - h) * n >= KL_SPLIT_WORK:
-                row[:h] -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, :h])
-                row[h:] -= np.einsum("kn,kjn->jn", chol_q[i, h - 1 : i], x[h - 1 : i, h : i + 2])
-            else:
-                row -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, : i + 2])
+            row -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, : i + 2])
         row /= chol_q[i, i]
     squares = np.einsum("ijn,ijn->n", x, x)
     return 0.5 * (squares + 2.0 * (half_logdet_q - half_logdet_p) - m)

@@ -2,9 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: factors one
 matrix at a time through LAPACK, divergences via explicit inverses or sampling, conditionals via the precision matrix,
-covariances and row counts via plain loops over rows. Two keep an older, plainer
-form of a kernel: the divergence's substitution without its column split,
-and suppression over a full sort of the candidates.
+covariances and row counts via plain loops over rows, and suppression over a
+full sort of the candidates.
 """
 
 from __future__ import annotations
@@ -34,27 +33,6 @@ def cholesky_each(covs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     return out
-
-
-def kl_unsplit(mu_p, chol_p, mu_q, chol_q):
-    """KL(p || q) of each of N pairs, from means (m, N) and lower factors (m, m, N),
-    by the stacked row-by-row substitution with no column split: row i of
-    X = Lq^-1 [mu_q - mu_p | Lp] is updated over columns 0..i+1 against all
-    earlier rows, zeros included. Reads only the lower triangles."""
-    m, n = mu_p.shape
-    half_logdet_p, half_logdet_q = (
-        np.log(np.diagonal(l, axis1=0, axis2=1)).sum(axis=-1) for l in (chol_p, chol_q)
-    )
-    x = np.zeros((m, m + 1, n))
-    for i in range(m):
-        row = x[i, : i + 2]
-        row[0] = mu_q[i] - mu_p[i]
-        row[1:] = chol_p[i, : i + 1]
-        if i:
-            row -= np.einsum("kn,kjn->jn", chol_q[i, :i], x[:i, : i + 2])
-        row /= chol_q[i, i]
-    squares = np.einsum("ijn,ijn->n", x, x)
-    return 0.5 * (squares + 2.0 * (half_logdet_q - half_logdet_p) - m)
 
 
 def select_by_full_sort(scores, starts, lens, top_k: int) -> list[tuple[int, int, float]]:

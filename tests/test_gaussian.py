@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from anomattr import gaussian, interval_score
+from anomattr import interval_score
 from anomattr.detector import _fit, _row_sums
 from anomattr.gaussian import (
     JITTER_FLOOR,
@@ -272,37 +272,6 @@ def test_a_zero_pivot_is_nan():
     chol = jittered_cholesky(covs)
     assert np.isnan(chol[..., 0]).all()
     assert np.array_equal(np.tril(chol[..., 1]), np.sqrt(1 + JITTER_FLOOR) * np.eye(2))
-
-
-class TestZeroColumns:
-    """kl_from_factors skips the known zeros of X; it equals the unsplit
-    substitution to round-off, reads only the lower triangles, and passes a
-    NaN factor through as NaN."""
-
-    @staticmethod
-    def factors(rng, m, n):
-        chol = np.tril(rng.normal(size=(n, m, m)), -1)
-        chol[:, np.arange(m), np.arange(m)] = rng.uniform(0.5, 2.0, size=(n, m))
-        chol = np.moveaxis(chol, 0, -1)
-        chol[np.triu_indices(m, 1)] = np.nan  # never read
-        return chol
-
-    @pytest.mark.parametrize("split_work", [None, 0])
-    @pytest.mark.parametrize("n", [1, 64, 4096])
-    @pytest.mark.parametrize("m", [1, 2, 3, 12, 18, 30])
-    def test_matches_unsplit_kernel(self, rng, monkeypatch, m, n, split_work):
-        if split_work is not None:  # split every row that has zeros to skip
-            monkeypatch.setattr(gaussian, "KL_SPLIT_WORK", split_work)
-        chol_p, chol_q = self.factors(rng, m, n), self.factors(rng, m, n)
-        mu_p, mu_q = rng.normal(size=(m, n)), rng.normal(size=(m, n))
-        if n > 2:
-            chol_p[..., 1] = np.nan
-            chol_q[..., n - 1] = np.nan
-        got = kl_from_factors(mu_p, chol_p, mu_q, chol_q)
-        want = oracles.kl_unsplit(mu_p, chol_p, mu_q, chol_q)
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.isnan(got).sum() == (2 if n > 2 else 0)
-        np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 class TestSolveLower:
