@@ -10,6 +10,8 @@ minus its inside or the sum of its parts; both sides of N candidates as
 one stack of 2N, the insides first, fitted one-pass by :func:`_fit` with
 one jittered factor per covariance (:mod:`.gaussian`); and one tail that
 splits the stack and turns each divergence into a score (:func:`_scores`).
+Only the scan's pruned blocks fit the insides as one stack and the
+outsides of the candidates kept as another (:meth:`PrefixScanner._pruned`).
 A packed outer-product sum holds the width(width+1)/2 entries of its lower
 triangle, row by row in ``np.tril_indices`` order.
 
@@ -25,6 +27,17 @@ O((SCAN_BLOCK + len_max) * width^2) whatever the length of the series. The
 scan is required (and tested) to match naive per-interval re-estimation.
 Suppression reads only the best candidates: :func:`_select` sorts a window
 of them and widens it only if it runs out before ``top_k``.
+
+The scan prunes exactly. The first block scores every candidate. After
+each block that another follows, a floor is set from the candidates scored
+so far (:func:`_floor`): no candidate that scores below it can change the
+detections. In the later blocks every candidate's inside is fitted and
+factored first, and an upper bound on its score (:class:`_ScoreBound`)
+follows from that factor and the whole-series totals. Only a candidate
+whose bound reaches the floor has its outside fitted and its divergence
+taken; the others score -inf. The floor moves only between blocks, so
+the candidates scored do not depend on the thread count. A scan of one
+block builds no bound and sets no floor.
 """
 
 from __future__ import annotations
@@ -33,12 +46,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ScoringError
-from .gaussian import interval_score, jittered_cholesky, kl_from_factors
+from .gaussian import JITTER_FLOOR, interval_score, jittered_cholesky, kl_from_factors
 from .series import (
     Embedding,
     EmbeddingConfig,
@@ -167,7 +180,12 @@ def _scores(mean, chol, length: int):
     that and 0 is round-off and counts as 0.
     """
     n = mean.shape[1] // 2
-    kl = kl_from_factors(mean[:, :n], chol[..., :n], mean[:, n:], chol[..., n:])
+    return _pair_scores(mean[:, :n], chol[..., :n], mean[:, n:], chol[..., n:], length)
+
+
+def _pair_scores(mean_p, chol_p, mean_q, chol_q, length: int):
+    """Interval scores of N fitted insides p and their outsides q, as :func:`_scores`."""
+    kl = kl_from_factors(mean_p, chol_p, mean_q, chol_q)
     return interval_score(np.where(kl < -1e-6, np.nan, np.maximum(kl, 0.0)), length)
 
 
@@ -258,7 +276,8 @@ class LocalRescorer:
 
 class _ScanRows:
     """What every block of a scan shares: the rows centered by :func:`_centered`,
-    their usable flags, and the :func:`_row_sums` ``totals`` of the usable rows."""
+    their usable flags, the :func:`_row_sums` ``totals`` of the usable rows,
+    and the score bound built from those totals on first use."""
 
     def __init__(self, emb: Embedding):
         self.width = emb.width
@@ -266,6 +285,118 @@ class _ScanRows:
         self.usable = ~emb.missing
         self.centered = _centered(emb)[1]
         self.totals = _row_sums(self.centered[None], self.usable[None])
+
+    @cached_property
+    def bound(self) -> _ScoreBound | None:
+        """The :class:`_ScoreBound` of these rows; None if their outer-product
+        total is not positive definite, and then nothing is pruned."""
+        try:
+            return _ScoreBound(*self.totals, self.width)
+        except np.linalg.LinAlgError:
+            return None
+
+
+#: Relative and absolute margins added to every :class:`_ScoreBound`, for the
+#: round-off of the bound and of the exact score it is compared with.
+BOUND_MARGIN = (1e-9, 1e-6)
+
+
+class _ScoreBound:
+    """An upper bound on a scan candidate's score from its fitted inside alone.
+
+    Built once per scan from the totals of the centered usable rows: their
+    count n_T, sum s_T and outer-product sum T2, its inverse M = T2^-1, its
+    eigenvalues lambda_k and tr T2 (LinAlgError unless T2 factors). Let a
+    candidate of width m and length L have the inside count n_i, sum s_i and
+    outer-product sum I2. Its outside has n_o = n_T - n_i rows with the sum
+    s_o = s_T - s_i, and its covariance is
+
+        Sq = (T2 - A) / n_o,   A = I2 + s_o s_o' / n_o,   A >= 0.
+
+    *Log-determinant.* Sq <= T2 / n_o, so tr Sq <= tr T2 / n_o and the
+    outside jitter (:func:`~.gaussian.jitter_epsilon`) is at most
+    1e-9 max(1, tr T2 / (m n_o)). With Sq_j the jittered Sq, and n_o <= n_T,
+
+        ln|Sq_j| <= -m ln n_o + sum_k ln(lambda_k + max(1e-9 n_o, 1e-9 tr T2 / m))
+                 <= lnq = -m ln n_o + sum_k ln(lambda_k + 1e-9 max(n_T, tr T2 / m)),
+
+    whose sum is one number per scan.
+
+    *Inverse.* g = tr(M A) = tr(M I2) + s_o' M s_o / n_o is at least the
+    largest eigenvalue of T2^-1/2 A T2^-1/2, so A <= g T2 and
+    Sq_j >= Sq >= (1 - g) T2 / n_o. For g < 1 that gives
+    Sq_j^-1 <= n_o / (1 - g) M, which bounds the trace and Mahalanobis terms
+    of the divergence. With the inside mean mu_p = s_i / n_i, its covariance
+    Sp = I2 / n_i - mu_p mu_p', its jitter eps_p, its jittered Sp_j and
+    Delta = s_o / n_o - mu_p,
+
+        KL <= 1/2 [ n_o / (1 - g) (tr(M Sp) + eps_p tr M + Delta' M Delta)
+                    - m + lnq - ln|Sp_j| ],
+
+    and the score is at most U = 2 L max(KL bound, 0), taken as
+    U (1 + 1e-9) + 1e-6 (``BOUND_MARGIN``). U is +inf where g >= 1 or the
+    bound is NaN. ln|Sp_j| comes from the inside's factor, which the score
+    needs anyway; every other term costs O(m^2) per candidate: one product
+    with M's packed weights and products with M s_i and M s_T.
+    """
+
+    def __init__(self, count, total_sum, total_outer, width: int):
+        lower = np.tril_indices(width)
+        t2 = np.zeros((width, width))
+        t2[lower] = total_outer[:, 0]
+        t2[lower[1], lower[0]] = total_outer[:, 0]
+        self.eigenvalues, basis = np.linalg.eigh(t2)
+        if not self.eigenvalues[0] > 0:
+            raise np.linalg.LinAlgError("the outer-product total is not positive definite")
+        self.precision = (basis / self.eigenvalues) @ basis.T
+        diagonal = lower[0] == lower[1]
+        # tr(M I2) and tr I2 as one product with the packed lower triangle of I2.
+        self.weights = np.stack([np.where(diagonal, 1.0, 2.0) * self.precision[lower], diagonal])
+        self.width = width
+        self.count = float(count[0])
+        self.scaled_total = self.precision @ total_sum[:, 0]  # M s_T
+        self.total_form = float(total_sum[:, 0] @ self.scaled_total)  # s_T' M s_T
+        self.trace_precision = float(np.trace(self.precision))
+        # n_o <= n_T: one sum of logs bounds every candidate's.
+        jitter = JITTER_FLOOR * max(self.count, float(np.trace(t2)) / width)
+        self.log_eigen = float(np.log(self.eigenvalues + jitter).sum())
+
+    def head(self, counts, sums, outer):
+        """Every term of the divergence bound but -ln|Sp_j| / 2, for N insides.
+
+        ``counts`` (N,), ``sums`` (m, N) and packed ``outer`` (m(m+1)/2, N)
+        are the insides' :func:`_row_sums`, read before :func:`_fit`
+        overwrites ``outer``. Every quadratic form is expanded into
+        s_i' M s_i, s_T' M s_i and s_T' M s_T, so only those and tr(M I2),
+        tr I2 and s_i' s_i are computed per candidate from m-sized columns.
+        +inf where g >= 1 or g is NaN.
+        """
+        m = self.width
+        n_in = counts.astype(float)
+        n_out = self.count - n_in
+        energy, trace_in = self.weights @ outer  # tr(M I2), tr I2
+        inner = np.einsum("in,in->n", sums, self.precision @ sums)  # s_i' M s_i
+        cross = self.scaled_total @ sums  # s_T' M s_i
+        outside = self.total_form - 2.0 * cross + inner  # s_o' M s_o
+        g = energy + outside / n_out
+        spread = (energy - inner / n_in) / n_in  # tr(M Sp)
+        trace = (trace_in - np.einsum("in,in->n", sums, sums) / n_in) / n_in  # tr Sp
+        jitter = np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / m)  # eps_p
+        # Delta' M Delta, Delta = s_o / n_o - s_i / n_i, with s_o' M s_i = cross - inner.
+        maha = outside / n_out**2 - 2.0 * (cross - inner) / (n_out * n_in) + inner / n_in**2
+        lnq = self.log_eigen - m * np.log(n_out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = n_out / (1.0 - g)
+        head = 0.5 * (scale * (spread + jitter * self.trace_precision + maha) - m + lnq)
+        return np.where(g < 1.0, head, np.inf)
+
+    @staticmethod
+    def bounds(head, chol, length: int):
+        """Score bounds U of N insides from their :meth:`head` and factors; +inf where NaN."""
+        half_logdet = np.log(np.diagonal(chol, axis1=0, axis2=1)).sum(axis=-1)  # ln|Sp_j| / 2
+        rel, tol = BOUND_MARGIN
+        bound = 2.0 * length * np.maximum(head - half_logdet, 0.0) * (1.0 + rel) + tol
+        return np.where(np.isnan(bound), np.inf, bound)
 
 
 class PrefixScanner:
@@ -303,12 +434,17 @@ class PrefixScanner:
         hi = np.clip(starts + length - self.lead, 0, self.rows)
         return lo, np.maximum(hi, lo)
 
-    def score_batch(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Length-weighted scores for all intervals [s, s+length); NaN if unscorable.
+    def score_batch(self, starts: np.ndarray, length: int, *, floor: float = -np.inf) -> np.ndarray:
+        """Length-weighted scores for all intervals [s, s+length); NaN if
+        unscorable, -inf if pruned below ``floor``.
 
         Unscorable: at most ``width`` usable rows inside, fewer than 2
         outside, or a pair that :func:`_scores` refuses. Every interval's
-        rows in the series must lie within the prefix's rows.
+        rows in the series must lie within the prefix's rows. With no
+        ``floor`` every candidate is scored, both sides as one stack. With
+        one, the insides are fitted first, and only a candidate whose
+        :class:`_ScoreBound` reaches the floor has its outside fitted and
+        its divergence taken (:meth:`_pruned`); the others score -inf.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -322,6 +458,14 @@ class PrefixScanner:
         out = np.full(starts.shape, np.nan)
         if not ok.any():
             return out
+        bound = self.whole.bound if floor > -np.inf else None
+        if bound is not None:
+            out[ok] = self._pruned(lo[ok], hi[ok], length, floor, bound)
+            return out
+        # Nothing can be pruned: both sides as one stack of 2N. Two stacks
+        # of N, as in _pruned, cost more per matrix (numpy's per-step
+        # overhead falls on half as many) and made the pipeline_cli
+        # benchmark, whose scan is one block, 17% slower.
         runs = _runs(lo[ok], hi[ok])
         # The sums are call temporaries, freed before the divergence runs.
         out[ok] = _scores(
@@ -334,21 +478,56 @@ class PrefixScanner:
         )
         return out
 
+    def _inside(self, lo: np.ndarray, hi: np.ndarray, length: int, bound: _ScoreBound):
+        """Fitted means and factors of the insides with prefix indices ``lo``,
+        ``hi``, and their score bounds."""
+        counts = self.counts[hi] - self.counts[lo]
+        runs = _runs(lo, hi)
+        sums = self._gather(self.sums, None, runs)
+        outer = self._gather(self.outer_sums, None, runs)
+        head = bound.head(counts, sums, outer)
+        mean, chol = _fit(counts, sums, outer)
+        return mean, chol, bound.bounds(head, chol, length)
+
+    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound) -> np.ndarray:
+        """Scores of scorable candidates whose bound reaches ``floor``, -inf for the others.
+
+        A candidate's outside is fitted from the same sums as in the stack
+        of both sides, but in its own, smaller stack.
+        """
+        mean_p, chol_p, bounds = self._inside(lo, hi, length, bound)
+        reach = bounds >= floor
+        scores = np.full(lo.shape, -np.inf)
+        if reach.any():
+            lo, hi = lo[reach], hi[reach]
+            count, total_sum, total_outer = self.whole.totals
+            runs = _runs(lo, hi)
+            mean_q, chol_q = _fit(
+                count - (self.counts[hi] - self.counts[lo]),
+                total_sum - self._gather(self.sums, None, runs),
+                total_outer - self._gather(self.outer_sums, None, runs),
+            )
+            scores[reach] = _pair_scores(
+                mean_p[:, reach], chol_p[..., reach], mean_q, chol_q, length
+            )
+        return scores
+
     @staticmethod
-    def _gather(prefix: np.ndarray, total: np.ndarray, runs):
-        """Inside sums ``prefix[:, hi] - prefix[:, lo]`` and outside sums ``total``
-        minus them, side by side as one (k, 2N) array; ``runs`` is :func:`_runs`
-        of ``lo`` and ``hi``."""
+    def _gather(prefix: np.ndarray, total: np.ndarray | None, runs):
+        """Inside sums ``prefix[:, hi] - prefix[:, lo]`` and, unless ``total``
+        is None, outside sums ``total`` minus them, side by side as one
+        (k, 2N) array; ``runs`` is :func:`_runs` of ``lo`` and ``hi``."""
         # Built in place: concatenating the two sides leaves more freed
         # temporaries behind, enough for glibc's allocator to return the
         # memory to the operating system after each call and fault it in
         # again on the next.
         n = runs[-1][0].stop  # the tail ends at N
-        sides = np.empty((len(prefix), 2, n))
-        inside, outside = sides[:, 0], sides[:, 1]
+        sides = np.empty((len(prefix), 1 if total is None else 2, n))
+        inside = sides[:, 0]
         for part, lo, hi in runs:
             np.subtract(prefix[:, hi], prefix[:, lo], out=inside[:, part])
-        np.subtract(total, inside, out=outside)
+        if total is not None:
+            np.subtract(total, inside, out=sides[:, 1])
         return sides.reshape(len(prefix), -1)
 
 
@@ -429,14 +608,51 @@ def _select(scores, starts, lens, top_k: int) -> list[Detection]:
 
 
 def _suppress(scores, starts, lens, order, top_k: int, accepted: list[Detection]) -> None:
-    """Greedy non-intersecting selection in the given order, appended to ``accepted``."""
-    for i in order:
-        iv = Interval(int(starts[i]), int(starts[i] + lens[i]))
-        if any(iv.intersects(det.interval) for det in accepted):
-            continue
-        accepted.append(Detection(interval=iv, score=float(scores[i]), rank=len(accepted) + 1))
-        if len(accepted) == top_k:
+    """Greedy non-intersecting selection in the given order, appended to ``accepted``.
+
+    Each acceptance masks out, in one array operation, every candidate of
+    ``order`` that meets it.
+    """
+    a = starts[order]
+    b = a + lens[order]
+    free = np.ones(order.size, dtype=bool)
+    for det in accepted:
+        free &= (b <= det.interval.a) | (a >= det.interval.b)
+    while len(accepted) < top_k:
+        j = int(free.argmax())
+        if not free[j]:
             break
+        iv = Interval(int(a[j]), int(b[j]))
+        score = float(scores[order[j]])
+        accepted.append(Detection(interval=iv, score=score, rank=len(accepted) + 1))
+        free &= (b <= iv.a) | (a >= iv.b)
+
+
+def _meets(len_min: int, len_max: int) -> int:
+    """B, the most pairwise-disjoint candidates that one candidate can meet.
+
+    Of k disjoint intervals that meet [a, a + L), all but the first and the
+    last lie within [a + 1, a + L - 1), so (k - 2) len_min <= L - 2 <= len_max - 2.
+    """
+    return (len_max - 2) // len_min + 2
+
+
+def _floor(scores, starts, lens, top_k: int, meets: int) -> float:
+    """Score of the ((top_k - 1) B + 1)-th pick of a greedy disjoint walk over
+    the candidates (:func:`_select`), or -inf if the walk picks fewer; B is
+    ``meets`` (:func:`_meets`).
+
+    The picks are pairwise disjoint and score at least the floor. Fewer
+    than top_k detections of the final walk meet at most (top_k - 1) B of
+    them, so one pick stays free, and the walk accepts it or something
+    better before it accepts fewer than top_k: every detection scores at
+    least the floor, and a candidate whose score is below it can neither
+    be a detection nor come before one. At top_k = 1 the floor is the best
+    score so far.
+    """
+    picks = (top_k - 1) * meets + 1
+    picked = _select(scores, starts, lens, picks)
+    return picked[-1].score if len(picked) == picks else -np.inf
 
 
 def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> list[Detection]:
@@ -445,11 +661,16 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     Candidates are every (start, length) with len_min <= length <= len_max,
     starts on the stride grid. They are scored in blocks of ``SCAN_BLOCK``
     starts, each from one prefix over the rows it reads; threads share the
-    lengths of one block, so neither the blocks nor the scores depend on
-    ``threads``. Suppression is greedy: candidates are taken in descending
-    score order and discarded if they intersect an accepted one. Ties break
-    deterministically on (start, length). Only as many of the best are
-    sorted as suppression needs (:func:`_select`).
+    lengths of one block. After each block that another block follows, the
+    floor rises to the :func:`_floor` of the candidates kept so far, and
+    the next blocks score exactly only the candidates whose
+    :class:`_ScoreBound` reaches it; the others cannot change the result.
+    Nor can a candidate scored below the floor, so none is kept. The
+    floor changes only between blocks, so neither the candidates scored
+    nor any score depends on ``threads``. Suppression is greedy: candidates
+    are taken in descending score order and discarded if they intersect an
+    accepted one. Ties break deterministically on (start, length). Only as
+    many of the best are sorted as suppression needs (:func:`_select`).
     """
     n = series.n
     if threads < 1:
@@ -459,15 +680,20 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     scan_rows = _ScanRows(embed(series, cfg.embedding))
     lengths = range(cfg.len_min, cfg.len_max + 1)
     grid_end = n - cfg.len_min + 1  # past the last start of any length
+    meets = _meets(cfg.len_min, cfg.len_max)
 
-    def scan_one(scanner: PrefixScanner, s0: int, s1: int, length: int):
+    def scan_one(scanner: PrefixScanner, s0: int, s1: int, floor: float, length: int):
         first = -(-s0 // cfg.stride) * cfg.stride
         starts = np.arange(first, min(s1, n - length + 1), cfg.stride)
         if starts.size == 0:
             return None
-        return starts, scanner.score_batch(starts, length), length
+        return starts, scanner.score_batch(starts, length, floor=floor), length
 
-    chunks = []
+    # (scores, starts, lengths) of the candidates scored exactly that can
+    # still be detections: none below the floor.
+    scored = []
+    exact = pruned = unscorable = 0
+    floor = -np.inf
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for s0 in range(0, grid_end, SCAN_BLOCK):
@@ -476,24 +702,37 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
             first = max(s0 - scan_rows.lead, 0)
             stop = min(s1 - 1 + cfg.len_max - scan_rows.lead, len(scan_rows.centered))
             scanner = PrefixScanner(scan_rows, first, stop)
-            block = run(partial(scan_one, scanner, s0, s1), lengths)
-            chunks.extend(c for c in block if c is not None)
-
-    all_scores, all_starts, all_lengths = [], [], []
-    for starts, scores, length in chunks:
-        keep = np.isfinite(scores)
-        if keep.any():
-            all_scores.append(scores[keep])
-            all_starts.append(starts[keep])
-            all_lengths.append(np.full(int(keep.sum()), length))
-    if not all_scores:
+            for chunk in run(partial(scan_one, scanner, s0, s1, floor), lengths):
+                if chunk is None:
+                    continue
+                starts, scores, length = chunk
+                finite = np.isfinite(scores)
+                exact += int(finite.sum())
+                pruned += int(np.isneginf(scores).sum())
+                unscorable += int(np.isnan(scores).sum())
+                keep = finite & (scores >= floor)
+                if keep.any():
+                    scored.append((scores[keep], starts[keep], np.full(int(keep.sum()), length)))
+            del scanner  # its prefix, before the floor's walk and the next block's prefix
+            if s1 < grid_end and scored and scan_rows.bound is not None:
+                joined = _joined(scored)
+                floor = max(floor, _floor(*joined, cfg.top_k, meets))
+                keep = joined[0] >= floor
+                scored = [tuple(column[keep] for column in joined)]
+    if not scored:
         raise ScoringError("no scorable candidate interval on the scan grid")
 
-    scores = np.concatenate(all_scores)
-    starts = np.concatenate(all_starts)
-    lens = np.concatenate(all_lengths)
+    scores, starts, lens = _joined(scored)
     detections = _select(scores, starts, lens, cfg.top_k)
     log.info(
-        "scan over %d candidates produced %d detection(s)", scores.size, len(detections)
+        "scan over %d candidates: %d scored exactly, %d pruned, %d unscorable "
+        "(final floor %.6g); %d detection(s)",
+        exact + pruned + unscorable, exact, pruned, unscorable, floor,
+        len(detections),
     )
     return detections
+
+
+def _joined(scored):
+    """The scores, starts and lengths of the scan's chunks, each as one array."""
+    return tuple(np.concatenate(column) for column in zip(*scored))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: factors one
 matrix at a time through LAPACK, divergences via explicit inverses or sampling, conditionals via the precision matrix,
-covariances and row counts via plain loops over rows, and suppression over a
-full sort of the candidates.
+covariances and row counts via plain loops over rows, suppression and the
+scan's floor over a full sort of the candidates, and disjoint intervals by
+placing them one by one.
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ from scipy.stats import multivariate_normal
 
 def kl_by_inverse(mean_p, cov_p, mean_q, cov_q) -> float:
     """Closed-form Gaussian divergence through explicit inverse and slogdet."""
-    m = len(mean_p)
+    maha, trace, logdet = kl_terms_by_inverse(mean_p, cov_p, mean_q, cov_q)
+    return 0.5 * (maha + trace + logdet - len(mean_p))
+
+
+def kl_terms_by_inverse(mean_p, cov_p, mean_q, cov_q) -> tuple[float, float, float]:
+    """The Mahalanobis, trace and log-determinant terms of the closed-form
+    divergence, through explicit inverse and slogdet."""
     inv_q = np.linalg.inv(cov_q)
     diff = np.asarray(mean_q) - np.asarray(mean_p)
     maha = diff @ inv_q @ diff
     trace = np.trace(inv_q @ cov_p)
     logdet = np.linalg.slogdet(cov_q)[1] - np.linalg.slogdet(cov_p)[1]
-    return 0.5 * (maha + trace + logdet - m)
+    return maha, trace, logdet
 
 
 def cholesky_each(covs: np.ndarray) -> np.ndarray:
@@ -47,6 +54,31 @@ def select_by_full_sort(scores, starts, lens, top_k: int) -> list[tuple[int, int
         if len(accepted) == top_k:
             break
     return accepted
+
+
+def floor_by_full_sort(scores, starts, lens, picks: int) -> float:
+    """Score of the ``picks``-th pick of a greedy disjoint walk over a full sort
+    of every candidate, or -inf if the walk picks fewer."""
+    picked = select_by_full_sort(scores, starts, lens, picks)
+    return picked[-1][2] if len(picked) == picks else -np.inf
+
+
+def most_disjoint_meeting(len_min: int, len_max: int) -> int:
+    """The most pairwise-disjoint intervals, each of length len_min or more, that
+    one interval of length len_max or less meets, by placing them one by one.
+
+    For an interval [0, L), the most are had with the shortest intervals
+    packed from the one that ends at its first step; each later one starts
+    where the one before it ends, and counts while it starts before L.
+    """
+    most = 0
+    for length in range(len_min, len_max + 1):
+        count, start = 1, 1  # [1 - len_min, 1) meets [0, L) at step 0
+        while start < length:
+            count += 1
+            start += len_min
+        most = max(most, count)
+    return most
 
 
 def usable_counts(missing, a: int, b: int, kappa: int, tau: int) -> tuple[int, int]:

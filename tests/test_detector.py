@@ -1,7 +1,12 @@
+import logging
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomattr import (
     EmbeddingConfig,
@@ -508,16 +513,16 @@ class TestBlockedScan:
         real = PrefixScanner.score_batch
         calls = []
 
-        def recording(scanner, starts, length):
-            scores = real(scanner, starts, length)
-            calls.append((scanner, starts, length, scores))
+        def recording(scanner, starts, length, **kwargs):
+            scores = real(scanner, starts, length, **kwargs)
+            calls.append((scanner, starts, length, kwargs.get("floor", -np.inf), scores))
             return scores
 
         monkeypatch.setattr(PrefixScanner, "score_batch", recording)
         detect(series, cfg)
         edges = range(self.BLOCK, series.n, self.BLOCK)
         checked = past_block = 0
-        for scanner, starts, length, scores in calls:
+        for scanner, starts, length, floor, scores in calls:
             s0 = starts[0] // self.BLOCK * self.BLOCK
             assert np.all(starts // self.BLOCK == s0 // self.BLOCK)  # one block per call
             near = np.isin(starts, [e + k for e in edges for k in (-1, 0, 1)])
@@ -527,8 +532,11 @@ class TestBlockedScan:
                 inside = (emb.times >= interval.a) & (emb.times < interval.b) & ~emb.missing
                 # The inside count that a tracer reads off the scanner.
                 assert scanner.counts[hi[i]] - scanner.counts[lo[i]] == inside.sum()
-                assert scores[i] == pytest.approx(score_interval(series, interval, cfg.embedding),
-                                                  rel=1e-8)
+                naive = score_interval(series, interval, cfg.embedding)
+                if scores[i] == -np.inf:  # pruned: it could not reach the floor
+                    assert naive < floor
+                else:
+                    assert scores[i] == pytest.approx(naive, rel=1e-8)
                 checked += 1
                 past_block += interval.b > s0 + self.BLOCK
         assert checked >= 20 and past_block >= 10
@@ -544,6 +552,229 @@ class TestBlockedScan:
         assert [d.interval for d in serial] == [d.interval for d in whole]
         for got, want in zip(serial, whole):
             assert got.score == pytest.approx(want.score, rel=1e-10)
+
+
+class TestScoreBound:
+    """The bound U of _ScoreBound is at least the exact score of every scorable
+    candidate, and without a positive definite outer-product total there is no
+    bound and nothing is pruned."""
+
+    @staticmethod
+    def pairs(series, cfg, stride):
+        """(U, exact score) of every scorable candidate of a few lengths, and the bound."""
+        rows = detector._ScanRows(embed(series, cfg))
+        scanner = PrefixScanner(rows)
+        width = rows.width
+        pairs = []
+        for length in range(width + 2, min(series.n - 3, width + 40), 5):
+            starts = np.arange(0, series.n - length + 1, stride)
+            exact = scanner.score_batch(starts, length)
+            ok = np.isfinite(exact)
+            if rows.bound is None:
+                # Any floor: nothing is pruned, every score is exact.
+                floored = scanner.score_batch(starts, length, floor=np.inf)
+                assert floored.tobytes() == exact.tobytes()
+            elif ok.any():
+                lo, hi = scanner._row_range(starts[ok], length)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    bound = scanner._inside(lo, hi, length, rows.bound)[2]
+                pairs.append((bound, exact[ok]))
+        return rows.bound, pairs
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(40, 200),
+        d=st.integers(1, 3),
+        kappa=st.integers(1, 3),
+        tau=st.sampled_from([1, 2]),
+        stride=st.integers(1, 3),
+        log_scale=st.floats(-6, 3),
+        offset=st.sampled_from([0.0, 1e3, -1e6, 1e8]),
+        share_missing=st.sampled_from([0.0, 0.02, 0.06]),
+        shape=st.sampled_from(["noise", "plant", "spike", "near_constant", "constant"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(seed=5, n=120, d=2, kappa=2, tau=1, stride=1, log_scale=0.0, offset=0.0,
+             share_missing=0.0, shape="spike")
+    @example(seed=6, n=150, d=2, kappa=2, tau=2, stride=1, log_scale=-6.0, offset=1e8,
+             share_missing=0.02, shape="near_constant")
+    def test_bound_is_at_least_the_score(self, seed, n, d, kappa, tau, stride, log_scale,
+                                         offset, share_missing, shape):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        values = offset + scale * rng.standard_normal((n, d))
+        if shape == "plant":
+            a = int(rng.integers(0, n - 20))
+            values[a : a + 20] += 3 * scale
+        elif shape == "spike":  # one step holds most of the energy: g >= 1 around it
+            values[int(rng.integers(0, n))] += 1e3 * scale
+        elif shape == "near_constant":
+            values[:, 0] = offset + 1e-7 * scale * rng.standard_normal(n)
+        elif shape == "constant":
+            values[:, 0] = offset
+        missing = rng.random((n, d)) < share_missing
+        bound, pairs = self.pairs(make_series(values, missing=missing),
+                                  EmbeddingConfig(kappa=kappa, tau=tau), stride)
+        if shape == "constant":
+            assert bound is None
+        for upper, exact in pairs:
+            assert np.all(upper >= exact)
+
+    def test_a_zero_inside_meets_the_bound_within_its_margin(self):
+        """Integer data whose sums are exactly zero, with a run of zero steps:
+        a candidate within the run has A = 0, so its bound equals its score
+        but for the margin and round-off."""
+        rng = np.random.default_rng(4)
+        half = rng.integers(-3, 4, size=(100, 2)).astype(float)
+        values = np.concatenate([half, np.zeros((40, 2)), -half])
+        rows = detector._ScanRows(embed(make_series(values), EmbeddingConfig(kappa=1, tau=1)))
+        assert rows.totals[1].tolist() == [[0.0], [0.0]]
+        scanner = PrefixScanner(rows)
+        tight = 0
+        for length in range(4, 40):
+            starts = np.arange(100, 140 - length + 1)
+            exact = scanner.score_batch(starts, length)
+            lo, hi = scanner._row_range(starts, length)
+            upper = scanner._inside(lo, hi, length, rows.bound)[2]
+            assert np.all(upper >= exact)
+            tight += int(np.sum(upper - exact < 1e-5 * exact))
+        assert tight > 500
+
+
+class TestFloor:
+    """The floor is the score of the ((top_k - 1) * B + 1)-th pick of a greedy
+    disjoint walk; no candidate below it can change the detections, whatever
+    else is scored later."""
+
+    @pytest.mark.parametrize("len_min", [1, 2, 3, 7, 10])
+    def test_meets_is_the_most_disjoint_candidates_one_meets(self, len_min):
+        for len_max in range(len_min, len_min + 30):
+            assert detector._meets(len_min, len_max) == oracles.most_disjoint_meeting(
+                len_min, len_max
+            )
+
+    @staticmethod
+    def candidates(rng, size, len_min, len_max):
+        starts = rng.integers(0, 300, size)
+        lens = rng.integers(len_min, len_max + 1, size)
+        scores = rng.integers(0, 40, size) / 4.0  # ties
+        return scores, starts, lens
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        len_min=st.integers(1, 12),
+        extra=st.integers(0, 30),
+        top_k=st.integers(1, 4),
+        sizes=st.tuples(st.integers(1, 120), st.integers(0, 120)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pruning_below_the_floor_keeps_the_detections(self, seed, len_min, extra, top_k,
+                                                          sizes):
+        rng = np.random.default_rng(seed)
+        len_max = len_min + extra
+        first = self.candidates(rng, sizes[0], len_min, len_max)
+        later = self.candidates(rng, sizes[1], len_min, len_max)
+        meets = detector._meets(len_min, len_max)
+        floor = detector._floor(*first, top_k, meets)
+        assert floor == oracles.floor_by_full_sort(*first, (top_k - 1) * meets + 1)
+        every = [np.concatenate(pair) for pair in zip(first, later)]
+        kept = later[0] >= floor
+        pruned = [np.concatenate([a, b[kept]]) for a, b in zip(first, later)]
+        assert oracles.select_by_full_sort(*pruned, top_k) == oracles.select_by_full_sort(
+            *every, top_k
+        )
+
+    def test_a_later_candidate_meets_b_picks(self):
+        """B = 2 at len_min = len_max = 10, top_k = 2: a later candidate that
+        meets the two best picks leaves a later one at 8.5, below the second
+        pick, as the second detection. The floor at the third pick keeps it;
+        one at the ((top_k - 1) * (B - 1) + 1)-th, the second, would have
+        pruned it."""
+        starts, lens = np.array([0, 10, 40, 60]), np.full(4, 10)
+        scores = np.array([10.0, 9.0, 8.0, 7.0])
+        assert detector._meets(10, 10) == 2
+        floor = detector._floor(scores, starts, lens, 2, detector._meets(10, 10))
+        assert floor == 8.0
+        later = np.array([20.0, 8.5]), np.array([5, 80]), np.array([10, 10])
+        every = [np.concatenate(pair) for pair in zip((scores, starts, lens), later)]
+        want = oracles.select_by_full_sort(*every, 2)
+        assert want == [(5, 15, 20.0), (80, 90, 8.5)]
+        assert all(score >= floor for _, _, score in want)
+        assert detector._floor(scores, starts, lens, 2, 1) == 9.0 > want[1][2]
+
+
+class TestPruning:
+    """detect prunes from the second block on, and returns what it returns with
+    the floor held at -inf; the candidates it scores do not depend on the
+    thread count."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        rng = np.random.default_rng(41)
+        values = rng.standard_normal((420, 3))
+        values[200:225, 1] += 2.0
+        values[320:340] += 1.5
+        values[80:100, 0] *= 3.0
+        missing = rng.random(values.shape) < 0.01
+        return make_series(values, missing=missing)
+
+    @staticmethod
+    def run(series, cfg, threads):
+        """detect's detections, and the counts and floor of its log line."""
+        lines = []
+        handler = logging.Handler(logging.INFO)
+        handler.emit = lambda record: lines.append(record.getMessage())
+        logger = logging.getLogger("anomattr.detector")
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            dets = detect(series, cfg, threads=threads)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        (line,) = [x for x in lines if x.startswith("scan over")]
+        scored, pruned = re.search(r"(\d+) scored exactly, (\d+) pruned", line).groups()
+        return dets, (int(scored), int(pruned), line)
+
+    @given(
+        block=st.integers(16, 200),
+        top_k=st.integers(1, 4),
+        stride=st.sampled_from([1, 3]),
+        tau=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_pruned_detect_equals_unpruned(self, series, block, top_k, stride, tau):
+        cfg = ScanConfig(len_min=12, len_max=30, top_k=top_k, stride=stride,
+                         embedding=EmbeddingConfig(kappa=2, tau=tau))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detector, "SCAN_BLOCK", block)
+            serial, counted = self.run(series, cfg, 1)
+            threaded, counted_threaded = self.run(series, cfg, 3)
+            patch.setattr(detector, "_floor", lambda *args: -np.inf)
+            unpruned, counted_unpruned = self.run(series, cfg, 1)
+        assert serial == threaded and counted == counted_threaded
+        assert counted_unpruned[1] == 0
+        assert counted[0] + counted[1] == counted_unpruned[0]
+        assert [d.interval for d in serial] == [d.interval for d in unpruned]
+        for got, want in zip(serial, unpruned):
+            assert got.score == pytest.approx(want.score, rel=1e-13)
+        if block <= 100:
+            assert counted[1] > 0
+
+    def test_one_block_builds_no_bound(self, series, monkeypatch):
+        """A scan of one block scores every candidate in one stack per length
+        and neither builds the bound nor walks for a floor."""
+
+        def refused(*args):
+            raise AssertionError("no floor for a scan of one block")
+
+        monkeypatch.setattr(detector, "_floor", refused)
+        monkeypatch.setattr(detector, "_ScoreBound", refused)
+        cfg = ScanConfig(len_min=15, len_max=40, top_k=3, embedding=EMB)
+        assert series.n < detector.SCAN_BLOCK
+        detect(series, cfg, threads=2)
 
 
 class TestSliceGather:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -228,6 +228,8 @@ class TestKernelReference:
         bad=st.sets(st.integers(0, 1), max_size=2),
     )
     @settings(max_examples=40, deadline=None)
+    # A divergence near zero: pair 28 has a KL of about 1e-4 from O(1) terms.
+    @example(m=1, k=80, seed=1368954, bad=set())
     def test_matches_per_matrix_reference(self, m, k, seed, bad):
         rng = np.random.default_rng(seed)
         mu_p, cov_p, mu_q, cov_q = TestStackedKl.stack(rng, k, m)
@@ -255,12 +257,18 @@ class TestKernelReference:
             atol = 1e-12 * np.nanmax(np.abs(want), initial=0.0)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
         failed = np.isnan(want_p[0, 0]) | np.isnan(want_q[0, 0])
-        want_kl = [
-            np.nan if failed[i]
-            else oracles.kl_by_inverse(mu_p[:, i], cov_p[..., i], mu_q[:, i], cov_q[..., i])
+        terms = np.array([
+            oracles.kl_terms_by_inverse(mu_p[:, i], cov_p[..., i], mu_q[:, i], cov_q[..., i])
+            if not failed[i] else (np.nan,) * 3
             for i in range(k)
-        ]
-        np.testing.assert_allclose(kl, want_kl, rtol=1e-12)
+        ])
+        want_kl = 0.5 * (terms.sum(axis=1) - m)
+        # A divergence carries the round-off of its terms, which can be far
+        # larger than itself near zero.
+        atol = 1e-12 * (np.abs(terms).sum(axis=1) + m)
+        assert np.array_equal(np.isnan(kl), np.isnan(want_kl))
+        ok = ~np.isnan(want_kl)
+        assert np.all(np.abs(kl[ok] - want_kl[ok]) <= 1e-12 * np.abs(want_kl[ok]) + atol[ok])
         assert failed.sum() == len({int(i) for side in bad for i in hit[side::2]})
 
 
