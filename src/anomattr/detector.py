@@ -10,8 +10,9 @@ minus its inside or the sum of its parts; both sides of N candidates as
 one stack of 2N, the insides first, fitted one-pass by :func:`_fit` with
 one jittered factor per covariance (:mod:`.gaussian`); and one tail that
 splits the stack and turns each divergence into a score (:func:`_scores`).
-Only the scan's pruned blocks fit the insides as one stack and the
-outsides of the candidates kept as another (:meth:`PrefixScanner._pruned`).
+Only the scan's candidates scored against a floor fit the insides as one
+stack and the outsides of the candidates kept as another
+(:meth:`PrefixScanner._pruned`).
 A packed outer-product sum holds the width(width+1)/2 entries of its lower
 triangle, row by row in ``np.tril_indices`` order.
 
@@ -28,16 +29,23 @@ scan is required (and tested) to match naive per-interval re-estimation.
 Suppression reads only the best candidates: :func:`_select` sorts a window
 of them and widens it only if it runs out before ``top_k``.
 
-The scan prunes exactly. The first block scores every candidate. After
-each block that another follows, a floor is set from the candidates scored
-so far (:func:`_floor`): no candidate that scores below it can change the
-detections. In the later blocks every candidate's inside is fitted and
-factored first, and an upper bound on its score (:class:`_ScoreBound`)
-follows from that factor and the whole-series totals. Only a candidate
-whose bound reaches the floor has its outside fitted and its divergence
-taken; the others score -inf. The floor moves only between blocks, so
-the candidates scored do not depend on the thread count. A scan of one
-block builds no bound and sets no floor.
+The scan prunes exactly. A scan of one block scores every candidate, with
+no bound and no floor. A longer one scores each block in two phases: first
+its rungs, the lengths len_min + k ``RUNG_STEP``, then the lengths between
+them. After each phase that another follows, a floor is set from the
+candidates scored so far (:func:`_floor`): no candidate that scores below
+it can change the detections. The first block's rungs are scored in full;
+from then on a candidate is bounded from above (:class:`_ScoreBound`)
+before its outside is fitted. A rung's inside is fitted and factored, and
+its bound follows from that factor and the whole-series totals. A length
+between rungs is first bounded from the factor of the rung just below it
+at the same start, since nested insides bound each other's
+log-determinant, at O(width^2) per candidate and with no fit; only a
+candidate that reaches the floor has its own inside fitted and its exact
+bound taken. Only a candidate whose exact bound reaches the floor has its
+outside fitted and its divergence taken; the others score -inf. The floor
+moves only between phases, so the candidates scored do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -68,6 +76,11 @@ log = logging.getLogger(__name__)
 #: SCAN_BLOCK + len_max - 1 rows, and its stacks hold at most SCAN_BLOCK
 #: candidates.
 SCAN_BLOCK = 4096
+
+#: Gap between the rungs of a scan of several blocks: the lengths len_min,
+#: len_min + RUNG_STEP, ... are scored first in each block, and every other
+#: length is bounded from the factor of the rung just below it.
+RUNG_STEP = 3
 
 
 @dataclass(frozen=True)
@@ -335,9 +348,24 @@ class _ScoreBound:
 
     and the score is at most U = 2 L max(KL bound, 0), taken as
     U (1 + 1e-9) + 1e-6 (``BOUND_MARGIN``). U is +inf where g >= 1 or the
-    bound is NaN. ln|Sp_j| comes from the inside's factor, which the score
-    needs anyway; every other term costs O(m^2) per candidate: one product
-    with M's packed weights and products with M s_i and M s_T.
+    bound is NaN. Every term but ln|Sp_j| costs O(m^2) per candidate: tr(M I2)
+    and tr I2 come from one product of M's packed weights with the
+    outer-product sums, or from a prefix of that product, and the rest from
+    the sums s_i and M s_i (:meth:`head`).
+
+    *Nested insides.* ln|Sp_j| comes from the inside's factor, or, without
+    one, from the factor of a nested inside. Take one start and lengths
+    L0 <= L with n0 <= n usable inside rows. The rows of L0 are a subset of
+    those of L, and a subset's scatter about its own mean is at most the
+    whole set's, so n Sp(L) >= n0 Sp(L0). Hence tr Sp(L) >= (n0 / n) tr
+    Sp(L0), and the jitter eps = max(1e-9, 1e-9 tr Sp / m) keeps the order:
+    eps(L) >= (n0 / n) eps(L0), since 1e-9 >= (n0 / n) 1e-9 too. So
+    Sp_j(L) >= (n0 / n) Sp_j(L0) and
+
+        ln|Sp_j(L)| >= ln|Sp_j(L0)| + m ln(n0 / n),
+
+    which, in place of ln|Sp_j(L)|, still gives an upper bound U
+    (:meth:`nested`). It is +inf where L0's factor is NaN or was not kept.
     """
 
     def __init__(self, count, total_sum, total_outer, width: int):
@@ -361,21 +389,23 @@ class _ScoreBound:
         jitter = JITTER_FLOOR * max(self.count, float(np.trace(t2)) / width)
         self.log_eigen = float(np.log(self.eigenvalues + jitter).sum())
 
-    def head(self, counts, sums, outer):
+    def head(self, counts, sums, traces, scaled):
         """Every term of the divergence bound but -ln|Sp_j| / 2, for N insides.
 
-        ``counts`` (N,), ``sums`` (m, N) and packed ``outer`` (m(m+1)/2, N)
-        are the insides' :func:`_row_sums`, read before :func:`_fit`
-        overwrites ``outer``. Every quadratic form is expanded into
-        s_i' M s_i, s_T' M s_i and s_T' M s_T, so only those and tr(M I2),
-        tr I2 and s_i' s_i are computed per candidate from m-sized columns.
+        ``counts`` (N,) and ``sums`` (m, N) are the insides' :func:`_row_sums`;
+        ``traces`` (2, N) is ``weights`` times their packed outer-product
+        sums, tr(M I2) and tr I2, and ``scaled`` (m, N) is M s_i. All four
+        are linear in the rows, so a prefix of them gives them for any
+        inside without its outer-product sums. Every quadratic form is
+        expanded into s_i' M s_i, s_T' M s_i and s_T' M s_T, so only those
+        and s_i' s_i are computed per candidate from m-sized columns.
         +inf where g >= 1 or g is NaN.
         """
         m = self.width
         n_in = counts.astype(float)
         n_out = self.count - n_in
-        energy, trace_in = self.weights @ outer  # tr(M I2), tr I2
-        inner = np.einsum("in,in->n", sums, self.precision @ sums)  # s_i' M s_i
+        energy, trace_in = traces  # tr(M I2), tr I2
+        inner = np.einsum("in,in->n", sums, scaled)  # s_i' M s_i
         cross = self.scaled_total @ sums  # s_T' M s_i
         outside = self.total_form - 2.0 * cross + inner  # s_o' M s_o
         g = energy + outside / n_out
@@ -391,12 +421,25 @@ class _ScoreBound:
         return np.where(g < 1.0, head, np.inf)
 
     @staticmethod
-    def bounds(head, chol, length: int):
-        """Score bounds U of N insides from their :meth:`head` and factors; +inf where NaN."""
-        half_logdet = np.log(np.diagonal(chol, axis1=0, axis2=1)).sum(axis=-1)  # ln|Sp_j| / 2
+    def bounds(head, half_logdet, length: int):
+        """Score bounds U of N insides from their :meth:`head` and ln|Sp_j| / 2,
+        or any lower bound on it; +inf where NaN."""
         rel, tol = BOUND_MARGIN
         bound = 2.0 * length * np.maximum(head - half_logdet, 0.0) * (1.0 + rel) + tol
         return np.where(np.isnan(bound), np.inf, bound)
+
+    def nested(self, head, rung_half_logdet, rung_counts, counts, length: int):
+        """Score bounds U of N insides of ``counts`` usable rows from their
+        :meth:`head` and the ln|Sp_j| / 2 of a nested inside of
+        ``rung_counts`` rows, by the nesting lemma; +inf where that is NaN."""
+        with np.errstate(divide="ignore"):  # ln 0 where the rung kept no factor
+            shrink = 0.5 * self.width * np.log(rung_counts / counts)
+        return self.bounds(head, rung_half_logdet + shrink, length)
+
+
+def _half_logdet(chol):
+    """ln|S| / 2 of each covariance of a stack from its factor (m, m, N)."""
+    return np.log(np.diagonal(chol, axis1=0, axis2=1)).sum(axis=-1)
 
 
 class PrefixScanner:
@@ -412,9 +455,18 @@ class PrefixScanner:
     (width(width+1)/2, rows + 1)), so a slice of prefix columns, or a gather
     where the starts are not an evenly spaced run, gives the stacks that
     :func:`_fit` turns into factors. Memory is O(rows * width^2).
+
+    With ``rung_base`` (the scan's len_min) the lengths rung_base +
+    k ``RUNG_STEP`` are rungs: :meth:`score_batch` keeps each rung inside's
+    ln|Sp_j| / 2 per start, and bounds every other length from the rung
+    just below it at the same start, before any fit. Its terms come from
+    the sums and from ``traces`` (2, rows + 1), the bound's packed weights
+    times ``outer_sums``, so the outer-product sums are not gathered
+    (:meth:`_ScoreBound.head`).
     """
 
-    def __init__(self, emb: Embedding | _ScanRows, first: int = 0, stop: int | None = None):
+    def __init__(self, emb: Embedding | _ScanRows, first: int = 0, stop: int | None = None,
+                 rung_base: int | None = None):
         whole = emb if isinstance(emb, _ScanRows) else _ScanRows(emb)
         stop = len(whole.centered) if stop is None else stop
         x = whole.centered[first:stop].T
@@ -428,6 +480,11 @@ class PrefixScanner:
         np.cumsum(x, axis=1, out=self.sums[:, 1:])
         self.outer_sums = np.zeros((len(lower_i), self.rows + 1))
         np.cumsum(x[lower_i] * x[lower_j], axis=1, out=self.outer_sums[:, 1:])
+        self.rung_base = rung_base
+        self.rungs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length: (starts, ln|Sp_j| / 2)
+        self.rung_pruned: dict[int, int] = {}  # length: candidates its rung bound pruned
+        if rung_base is not None and whole.bound is not None:
+            self.traces = whole.bound.weights @ self.outer_sums
 
     def _row_range(self, starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.clip(starts - self.lead, 0, self.rows)
@@ -444,7 +501,10 @@ class PrefixScanner:
         ``floor`` every candidate is scored, both sides as one stack. With
         one, the insides are fitted first, and only a candidate whose
         :class:`_ScoreBound` reaches the floor has its outside fitted and
-        its divergence taken (:meth:`_pruned`); the others score -inf.
+        its divergence taken (:meth:`_pruned`); the others score -inf. A
+        length between rungs first bounds each candidate from the rung kept
+        below it (:meth:`_nested`), and fits only the insides that reach
+        the floor; those that do not are counted in ``rung_pruned``.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -458,44 +518,78 @@ class PrefixScanner:
         out = np.full(starts.shape, np.nan)
         if not ok.any():
             return out
+        starts, lo, hi = starts[ok], lo[ok], hi[ok]
+        rung = self.rung_base is not None and (length - self.rung_base) % RUNG_STEP == 0
         bound = self.whole.bound if floor > -np.inf else None
-        if bound is not None:
-            out[ok] = self._pruned(lo[ok], hi[ok], length, floor, bound)
-            return out
-        # Nothing can be pruned: both sides as one stack of 2N. Two stacks
-        # of N, as in _pruned, cost more per matrix (numpy's per-step
-        # overhead falls on half as many) and made the pipeline_cli
-        # benchmark, whose scan is one block, 17% slower.
-        runs = _runs(lo[ok], hi[ok])
-        # The sums are call temporaries, freed before the divergence runs.
-        out[ok] = _scores(
-            *_fit(
+        if bound is None:
+            # Nothing can be pruned: both sides as one stack of 2N. Two
+            # stacks of N, as in _pruned, cost more per matrix (numpy's
+            # per-step overhead falls on half as many) and made the
+            # pipeline_cli benchmark, whose scan is one block, 17% slower.
+            runs = _runs(lo, hi)
+            # The sums are call temporaries, freed before the divergence runs.
+            mean, chol = _fit(
                 np.concatenate([cnt_in[ok], cnt_out[ok]]),
                 self._gather(self.sums, total_sum, runs),
                 self._gather(self.outer_sums, total_outer, runs),
-            ),
-            length,
-        )
+            )
+            half_logdet = _half_logdet(chol[..., : len(lo)]) if rung else None
+            out[ok] = _scores(mean, chol, length)
+        elif rung or self.rung_base is None:
+            out[ok], half_logdet = self._pruned(lo, hi, length, floor, bound)
+        else:  # between rungs: only what reaches the floor through its rung is fitted
+            reach = self._nested(starts, lo, hi, length, bound) >= floor
+            self.rung_pruned[length] = reach.size - int(np.count_nonzero(reach))
+            scores = np.full(reach.shape, -np.inf)
+            if reach.any():
+                scores[reach] = self._pruned(lo[reach], hi[reach], length, floor, bound)[0]
+            out[ok] = scores
+        if rung:
+            self.rungs[length] = starts, half_logdet
         return out
+
+    def _nested(self, starts, lo, hi, length: int, bound: _ScoreBound):
+        """Score bounds of the insides [s, s + length) of ``starts``, with prefix
+        indices ``lo`` and ``hi``, from the rung kept just below ``length``
+        at each start (:meth:`_ScoreBound.nested`); +inf where none was kept.
+        """
+        rung = length - (length - self.rung_base) % RUNG_STEP
+        if rung not in self.rungs:
+            return np.full(starts.shape, np.inf)
+        rung_starts, rung_half = self.rungs[rung]
+        # The rung's scorable starts, ascending as detect's are; a longer
+        # length's starts are among the rung's, but a start may be scorable
+        # at the longer length only.
+        at = np.minimum(np.searchsorted(rung_starts, starts), len(rung_starts) - 1)
+        half = np.where(rung_starts[at] == starts, rung_half[at], np.nan)
+        counts = self.counts[hi] - self.counts[lo]
+        rung_counts = self.counts[self._row_range(starts, rung)[1]] - self.counts[lo]
+        runs = _runs(lo, hi)
+        sums = self._gather(self.sums, None, runs)
+        traces = self._gather(self.traces, None, runs)
+        head = bound.head(counts, sums, traces, bound.precision @ sums)
+        return bound.nested(head, half, rung_counts, counts, length)
 
     def _inside(self, lo: np.ndarray, hi: np.ndarray, length: int, bound: _ScoreBound):
         """Fitted means and factors of the insides with prefix indices ``lo``,
-        ``hi``, and their score bounds."""
+        ``hi``, their score bounds, and their ln|Sp_j| / 2."""
         counts = self.counts[hi] - self.counts[lo]
         runs = _runs(lo, hi)
         sums = self._gather(self.sums, None, runs)
         outer = self._gather(self.outer_sums, None, runs)
-        head = bound.head(counts, sums, outer)
+        head = bound.head(counts, sums, bound.weights @ outer, bound.precision @ sums)
         mean, chol = _fit(counts, sums, outer)
-        return mean, chol, bound.bounds(head, chol, length)
+        half_logdet = _half_logdet(chol)
+        return mean, chol, bound.bounds(head, half_logdet, length), half_logdet
 
-    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound) -> np.ndarray:
-        """Scores of scorable candidates whose bound reaches ``floor``, -inf for the others.
+    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound):
+        """Scores of scorable candidates whose bound reaches ``floor``, -inf for
+        the others, and the ln|Sp_j| / 2 of every inside.
 
         A candidate's outside is fitted from the same sums as in the stack
         of both sides, but in its own, smaller stack.
         """
-        mean_p, chol_p, bounds = self._inside(lo, hi, length, bound)
+        mean_p, chol_p, bounds, half_logdet = self._inside(lo, hi, length, bound)
         reach = bounds >= floor
         scores = np.full(lo.shape, -np.inf)
         if reach.any():
@@ -510,7 +604,7 @@ class PrefixScanner:
             scores[reach] = _pair_scores(
                 mean_p[:, reach], chol_p[..., reach], mean_q, chol_q, length
             )
-        return scores
+        return scores, half_logdet
 
     @staticmethod
     def _gather(prefix: np.ndarray, total: np.ndarray | None, runs):
@@ -661,14 +755,17 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     Candidates are every (start, length) with len_min <= length <= len_max,
     starts on the stride grid. They are scored in blocks of ``SCAN_BLOCK``
     starts, each from one prefix over the rows it reads; threads share the
-    lengths of one block. After each block that another block follows, the
-    floor rises to the :func:`_floor` of the candidates kept so far, and
-    the next blocks score exactly only the candidates whose
-    :class:`_ScoreBound` reaches it; the others cannot change the result.
-    Nor can a candidate scored below the floor, so none is kept. The
-    floor changes only between blocks, so neither the candidates scored
-    nor any score depends on ``threads``. Suppression is greedy: candidates
-    are taken in descending score order and discarded if they intersect an
+    lengths of one phase of a block. A scan of one block, or one whose
+    outer-product total has no :class:`_ScoreBound`, scores every length in
+    one phase. Otherwise each block has two: first its rungs (len_min + k
+    ``RUNG_STEP``), then the lengths between them. After each phase that
+    another follows, the floor rises to the :func:`_floor` of the
+    candidates kept so far, and the next phases score exactly only the
+    candidates whose bound reaches it; the others cannot change the result.
+    Nor can a candidate scored below the floor, so none is kept. The floor
+    changes only between phases, so neither the candidates scored nor any
+    score depends on ``threads``. Suppression is greedy: candidates are
+    taken in descending score order and discarded if they intersect an
     accepted one. Ties break deterministically on (start, length). Only as
     many of the best are sorted as suppression needs (:func:`_select`).
     """
@@ -680,7 +777,14 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     scan_rows = _ScanRows(embed(series, cfg.embedding))
     lengths = range(cfg.len_min, cfg.len_max + 1)
     grid_end = n - cfg.len_min + 1  # past the last start of any length
+    blocks = range(0, grid_end, SCAN_BLOCK)
     meets = _meets(cfg.len_min, cfg.len_max)
+    if len(blocks) > 1 and scan_rows.bound is not None:
+        rung_base = cfg.len_min
+        between = [length for length in lengths if (length - rung_base) % RUNG_STEP]
+        phases = [lengths[::RUNG_STEP]] + ([between] if between else [])
+    else:  # nothing to prune: no floor, no rungs
+        rung_base, phases = None, [lengths]
 
     def scan_one(scanner: PrefixScanner, s0: int, s1: int, floor: float, length: int):
         first = -(-s0 // cfg.stride) * cfg.stride
@@ -692,43 +796,55 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     # (scores, starts, lengths) of the candidates scored exactly that can
     # still be detections: none below the floor.
     scored = []
-    exact = pruned = unscorable = 0
+    exact = pruned = rung_pruned = unscorable = 0
     floor = -np.inf
+
+    def raise_floor():
+        nonlocal floor, scored
+        if rung_base is None or not scored:
+            return
+        joined = _joined(scored)
+        floor = max(floor, _floor(*joined, cfg.top_k, meets))
+        keep = joined[0] >= floor
+        scored = [tuple(column[keep] for column in joined)]
+
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for s0 in range(0, grid_end, SCAN_BLOCK):
+        for s0 in blocks:
             s1 = min(s0 + SCAN_BLOCK, grid_end)
             # The rows anchored in [s0, s1 - 1 + len_max): all that the block reads.
             first = max(s0 - scan_rows.lead, 0)
             stop = min(s1 - 1 + cfg.len_max - scan_rows.lead, len(scan_rows.centered))
-            scanner = PrefixScanner(scan_rows, first, stop)
-            for chunk in run(partial(scan_one, scanner, s0, s1, floor), lengths):
-                if chunk is None:
-                    continue
-                starts, scores, length = chunk
-                finite = np.isfinite(scores)
-                exact += int(finite.sum())
-                pruned += int(np.isneginf(scores).sum())
-                unscorable += int(np.isnan(scores).sum())
-                keep = finite & (scores >= floor)
-                if keep.any():
-                    scored.append((scores[keep], starts[keep], np.full(int(keep.sum()), length)))
+            scanner = PrefixScanner(scan_rows, first, stop, rung_base)
+            for i, phase in enumerate(phases):
+                if i:
+                    raise_floor()
+                for chunk in run(partial(scan_one, scanner, s0, s1, floor), phase):
+                    if chunk is None:
+                        continue
+                    starts, scores, length = chunk
+                    finite = np.isfinite(scores)
+                    exact += int(finite.sum())
+                    pruned += int(np.isneginf(scores).sum())
+                    unscorable += int(np.isnan(scores).sum())
+                    keep = finite & (scores >= floor)
+                    if keep.any():
+                        scored.append((scores[keep], starts[keep], np.full(int(keep.sum()), length)))
+            rung_pruned += sum(scanner.rung_pruned.values())
             del scanner  # its prefix, before the floor's walk and the next block's prefix
-            if s1 < grid_end and scored and scan_rows.bound is not None:
-                joined = _joined(scored)
-                floor = max(floor, _floor(*joined, cfg.top_k, meets))
-                keep = joined[0] >= floor
-                scored = [tuple(column[keep] for column in joined)]
+            if s1 < grid_end:
+                raise_floor()
     if not scored:
         raise ScoringError("no scorable candidate interval on the scan grid")
 
     scores, starts, lens = _joined(scored)
     detections = _select(scores, starts, lens, cfg.top_k)
     log.info(
-        "scan over %d candidates: %d scored exactly, %d pruned, %d unscorable "
+        "scan over %d candidates: %d scored exactly, %d pruned by the rung bound "
+        "(no inside fit), %d pruned by the exact bound, %d unscorable "
         "(final floor %.6g); %d detection(s)",
-        exact + pruned + unscorable, exact, pruned, unscorable, floor,
-        len(detections),
+        exact + pruned + unscorable, exact, rung_pruned, pruned - rung_pruned, unscorable,
+        floor, len(detections),
     )
     return detections
 

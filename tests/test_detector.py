@@ -1,5 +1,6 @@
 import logging
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -560,6 +561,24 @@ class TestScoreBound:
     bound and nothing is pruned."""
 
     @staticmethod
+    def series(seed, n, d, log_scale, offset, share_missing, shape):
+        """A series of one of the property tests' shapes."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        values = offset + scale * rng.standard_normal((n, d))
+        if shape == "plant":
+            a = int(rng.integers(0, n - 20))
+            values[a : a + 20] += 3 * scale
+        elif shape == "spike":  # one step holds most of the energy: g >= 1 around it
+            values[int(rng.integers(0, n))] += 1e3 * scale
+        elif shape == "near_constant":
+            values[:, 0] = offset + 1e-7 * scale * rng.standard_normal(n)
+        elif shape == "constant":
+            values[:, 0] = offset
+        missing = rng.random((n, d)) < share_missing
+        return make_series(values, missing=missing)
+
+    @staticmethod
     def pairs(series, cfg, stride):
         """(U, exact score) of every scorable candidate of a few lengths, and the bound."""
         rows = detector._ScanRows(embed(series, cfg))
@@ -601,25 +620,105 @@ class TestScoreBound:
              share_missing=0.02, shape="near_constant")
     def test_bound_is_at_least_the_score(self, seed, n, d, kappa, tau, stride, log_scale,
                                          offset, share_missing, shape):
-        rng = np.random.default_rng(seed)
-        scale = 10.0**log_scale
-        values = offset + scale * rng.standard_normal((n, d))
-        if shape == "plant":
-            a = int(rng.integers(0, n - 20))
-            values[a : a + 20] += 3 * scale
-        elif shape == "spike":  # one step holds most of the energy: g >= 1 around it
-            values[int(rng.integers(0, n))] += 1e3 * scale
-        elif shape == "near_constant":
-            values[:, 0] = offset + 1e-7 * scale * rng.standard_normal(n)
-        elif shape == "constant":
-            values[:, 0] = offset
-        missing = rng.random((n, d)) < share_missing
-        bound, pairs = self.pairs(make_series(values, missing=missing),
-                                  EmbeddingConfig(kappa=kappa, tau=tau), stride)
+        series = self.series(seed, n, d, log_scale, offset, share_missing, shape)
+        bound, pairs = self.pairs(series, EmbeddingConfig(kappa=kappa, tau=tau), stride)
         if shape == "constant":
             assert bound is None
         for upper, exact in pairs:
             assert np.all(upper >= exact)
+
+    @staticmethod
+    def rung_pairs(series, cfg, stride, len_min, len_max):
+        """(U through the rung below, exact score, whether that rung kept a
+        factor at the start) of every scorable candidate between the rungs
+        of [len_min, len_max], and the bound."""
+        rows = detector._ScanRows(embed(series, cfg))
+        scanner = PrefixScanner(rows, rung_base=len_min)
+        pairs = []
+        for length in range(len_min, len_max + 1):
+            starts = np.arange(0, series.n - length + 1, stride)
+            exact = scanner.score_batch(starts, length)
+            ok = np.isfinite(exact)
+            if (length - len_min) % detector.RUNG_STEP == 0 or rows.bound is None or not ok.any():
+                continue
+            rung = length - (length - len_min) % detector.RUNG_STEP
+            kept = np.isin(starts[ok], scanner.rungs.get(rung, ([],))[0])
+            lo, hi = scanner._row_range(starts[ok], length)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                bound = scanner._nested(starts[ok], lo, hi, length, rows.bound)
+            pairs.append((bound, exact[ok], kept))
+        return rows.bound, pairs
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(40, 200),
+        d=st.integers(1, 3),
+        kappa=st.integers(1, 3),
+        tau=st.sampled_from([1, 2]),
+        stride=st.integers(1, 3),
+        log_scale=st.floats(-6, 3),
+        offset=st.sampled_from([0.0, 1e3, -1e6, 1e8]),
+        share_missing=st.sampled_from([0.0, 0.02, 0.06]),
+        shape=st.sampled_from(["noise", "plant", "spike", "near_constant", "constant"]),
+        len_min=st.integers(1, 30),
+        span=st.integers(0, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(seed=5, n=120, d=2, kappa=2, tau=1, stride=1, log_scale=0.0, offset=0.0,
+             share_missing=0.0, shape="spike", len_min=8, span=10)
+    @example(seed=6, n=150, d=2, kappa=2, tau=2, stride=1, log_scale=-6.0, offset=1e8,
+             share_missing=0.02, shape="near_constant", len_min=10, span=8)
+    # The first rung has at most the width's rows, the next lengths more.
+    @example(seed=7, n=120, d=3, kappa=2, tau=1, stride=1, log_scale=0.0, offset=0.0,
+             share_missing=0.06, shape="noise", len_min=5, span=7)
+    @example(seed=8, n=90, d=2, kappa=1, tau=1, stride=2, log_scale=0.0, offset=0.0,
+             share_missing=0.0, shape="plant", len_min=12, span=0)  # one length
+    @example(seed=9, n=90, d=2, kappa=2, tau=2, stride=1, log_scale=0.0, offset=1e3,
+             share_missing=0.02, shape="noise", len_min=12, span=2)  # under one rung step
+    def test_rung_bound_is_at_least_the_score(self, seed, n, d, kappa, tau, stride, log_scale,
+                                              offset, share_missing, shape, len_min, span):
+        """A length between rungs, bounded from the rung below at the same
+        start, is bounded from above; where that rung kept no factor (too few
+        usable rows) the bound is +inf."""
+        series = self.series(seed, n, d, log_scale, offset, share_missing, shape)
+        bound, pairs = self.rung_pairs(series, EmbeddingConfig(kappa=kappa, tau=tau), stride,
+                                       len_min, min(len_min + span, n - 3))
+        if shape == "constant":
+            assert bound is None
+        for upper, exact, kept in pairs:
+            assert np.all(upper >= exact)
+            assert np.all(upper[~kept] == np.inf)
+
+    def test_a_rung_without_a_factor_never_prunes(self):
+        """A rung inside whose factor is NaN, or that has at most the width's
+        usable rows, bounds nothing: the lengths above it are scored exactly."""
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((160, 2))
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[40:52, 0] = True  # starts near it see few usable rows at the first rung
+        rows = detector._ScanRows(embed(make_series(values, missing=missing), EMB))
+        scanner = PrefixScanner(rows, rung_base=10)
+        starts = np.arange(0, 140)
+        rung = scanner.score_batch(starts, 10)
+        few = np.isnan(rung)
+        assert few.sum() >= 5
+        kept_starts, half = scanner.rungs[10]
+        assert np.array_equal(kept_starts, starts[~few])
+        half[: len(half) // 2] = np.nan  # as if those factors had failed
+        failed = np.isin(starts, kept_starts[: len(half) // 2])
+        for length in (11, 12):
+            exact = scanner.score_batch(starts, length)
+            ok = np.isfinite(exact)
+            assert (ok & few).any()
+            lo, hi = scanner._row_range(starts[ok], length)
+            upper = scanner._nested(starts[ok], lo, hi, length, rows.bound)
+            assert np.all(upper[(few | failed)[ok]] == np.inf)
+            assert np.isfinite(upper[~(few | failed)[ok]]).all()
+            # Through score_batch: any floor prunes none of them before a fit.
+            floored = scanner.score_batch(starts, length, floor=np.inf)
+            assert scanner.rung_pruned[length] == int((ok & ~few & ~failed).sum())
+            assert np.array_equal(np.isnan(floored), ~ok)
 
     def test_a_zero_inside_meets_the_bound_within_its_margin(self):
         """Integer data whose sums are exactly zero, with a run of zero steps:
@@ -705,9 +804,9 @@ class TestFloor:
 
 
 class TestPruning:
-    """detect prunes from the second block on, and returns what it returns with
-    the floor held at -inf; the candidates it scores do not depend on the
-    thread count."""
+    """detect prunes from the first block's lengths between rungs on, and
+    returns what it returns with the floor held at -inf; the candidates it
+    scores do not depend on the thread count."""
 
     @pytest.fixture(scope="class")
     def series(self):
@@ -735,18 +834,24 @@ class TestPruning:
             logger.removeHandler(handler)
             logger.setLevel(level)
         (line,) = [x for x in lines if x.startswith("scan over")]
-        scored, pruned = re.search(r"(\d+) scored exactly, (\d+) pruned", line).groups()
-        return dets, (int(scored), int(pruned), line)
+        counts = re.search(
+            r"(\d+) scored exactly, (\d+) pruned by the rung bound \(no inside fit\), "
+            r"(\d+) pruned by the exact bound", line
+        ).groups()
+        return dets, (*map(int, counts), line)
 
     @given(
         block=st.integers(16, 200),
         top_k=st.integers(1, 4),
         stride=st.sampled_from([1, 3]),
         tau=st.sampled_from([1, 2]),
+        len_max=st.sampled_from([12, 13, 14, 30]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_pruned_detect_equals_unpruned(self, series, block, top_k, stride, tau):
-        cfg = ScanConfig(len_min=12, len_max=30, top_k=top_k, stride=stride,
+    @example(block=16, top_k=2, stride=1, tau=1, len_max=12)  # one rung, nothing between
+    @example(block=16, top_k=2, stride=3, tau=2, len_max=13)  # shorter than one rung step
+    def test_pruned_detect_equals_unpruned(self, series, block, top_k, stride, tau, len_max):
+        cfg = ScanConfig(len_min=12, len_max=len_max, top_k=top_k, stride=stride,
                          embedding=EmbeddingConfig(kappa=2, tau=tau))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(detector, "SCAN_BLOCK", block)
@@ -755,13 +860,71 @@ class TestPruning:
             patch.setattr(detector, "_floor", lambda *args: -np.inf)
             unpruned, counted_unpruned = self.run(series, cfg, 1)
         assert serial == threaded and counted == counted_threaded
-        assert counted_unpruned[1] == 0
-        assert counted[0] + counted[1] == counted_unpruned[0]
+        assert counted_unpruned[1] == counted_unpruned[2] == 0
+        assert sum(counted[:3]) == counted_unpruned[0]
         assert [d.interval for d in serial] == [d.interval for d in unpruned]
         for got, want in zip(serial, unpruned):
             assert got.score == pytest.approx(want.score, rel=1e-13)
-        if block <= 100:
-            assert counted[1] > 0
+        if block <= 100 and len_max == 30:
+            assert counted[1] + counted[2] > 0
+        if len_max == 12:  # every length is a rung
+            assert counted[1] == 0
+
+    def test_log_splits_the_pruned_counts(self, series, monkeypatch):
+        """The log line counts the candidates the rung bound prunes before any
+        fit apart from those the exact bound prunes; neither count depends on
+        the thread count."""
+        monkeypatch.setattr(detector, "SCAN_BLOCK", 48)
+        cfg = ScanConfig(len_min=12, len_max=30, top_k=2, embedding=EmbeddingConfig(kappa=2))
+        serial, counted = self.run(series, cfg, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often: a lost update would show
+        try:
+            threaded, counted_threaded = self.run(series, cfg, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == threaded
+        assert counted[:3] == counted_threaded[:3]
+        assert counted[1] > 0 and counted[2] > 0
+
+    def test_first_block_prunes_past_its_rungs(self, series, monkeypatch):
+        """Each block scores its rungs, then the lengths between them; the floor
+        rises between phases, first right after the first block's rungs, so
+        the first block already prunes the lengths between its rungs."""
+        monkeypatch.setattr(detector, "SCAN_BLOCK", 64)
+        real = PrefixScanner.score_batch
+        calls = []
+
+        def recording(scanner, starts, length, **kwargs):
+            calls.append((int(starts[0]) // 64, length, kwargs["floor"]))
+            return real(scanner, starts, length, **kwargs)
+
+        monkeypatch.setattr(PrefixScanner, "score_batch", recording)
+        cfg = ScanConfig(len_min=12, len_max=30, top_k=2, embedding=EmbeddingConfig(kappa=2))
+        detect(series, cfg)
+        rungs = set(range(12, 31, detector.RUNG_STEP))
+        phases = [(block, length in rungs) for block, length, _ in calls]
+        # Rungs first, then the lengths between, block after block.
+        assert phases == sorted(phases, key=lambda phase: (phase[0], not phase[1]))
+        floors = {}
+        for block, length, floor in calls:
+            floors.setdefault((block, length in rungs), set()).add(floor)
+        assert all(len(phase) == 1 for phase in floors.values())  # fixed within a phase
+        walk = [floors[phase].pop() for phase in dict.fromkeys(phases)]
+        assert walk[0] == -np.inf < walk[1]  # the first block's rungs, then a floor
+        assert walk == sorted(walk)
+
+    def test_a_candidate_at_the_floor_is_kept(self, series, monkeypatch):
+        """A later candidate that scores exactly the floor can be a detection.
+        A floor at the last detection's score is still sound, and the scan
+        must keep that detection."""
+        monkeypatch.setattr(detector, "SCAN_BLOCK", 64)
+        cfg = ScanConfig(len_min=12, len_max=30, top_k=3, embedding=EmbeddingConfig(kappa=2))
+        want = detect(series, cfg)
+        last = want[-1]
+        assert len(want) == 3 and last.interval.a >= 64  # scored against a floor
+        monkeypatch.setattr(detector, "_floor", lambda *args: last.score)
+        assert detect(series, cfg) == want
 
     def test_one_block_builds_no_bound(self, series, monkeypatch):
         """A scan of one block scores every candidate in one stack per length
