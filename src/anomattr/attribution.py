@@ -18,6 +18,7 @@ divergence is included as the univariate baseline for comparison.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -32,8 +33,10 @@ from .series import EmbeddingConfig, Interval, MultivariateSeries
 
 log = logging.getLogger(__name__)
 
-#: More variables than this need ``allow_many_variables``: the subset family grows as 2^d.
-MAX_VARIABLES = 20
+#: Most subsets one window may enumerate: the family of 20 variables at the default
+#: cap of 10. A wider series is attributed once ``max_subset_size`` keeps its family
+#: within this.
+MAX_SUBSETS = 616_665
 
 #: Most (subset, draw) pairs re-scored as one stack; a larger stack costs less per pair but
 #: holds more memory.
@@ -57,7 +60,6 @@ class AttributionConfig:
     max_subset_size: int | None = None
     baseline_bins: int = 30
     threads: int = 1
-    allow_many_variables: bool = False
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -228,18 +230,18 @@ def _attribute_window(
 ) -> AttributionReport:
     if series.d < 2:
         raise ConfigError("attribution needs at least 2 variables")
-    if series.d > MAX_VARIABLES and not cfg.allow_many_variables:
+    cap = subset_cap(series.d, cfg.max_subset_size)
+    family = sum(math.comb(series.d, k) for k in range(1, cap + 1))
+    if family > MAX_SUBSETS:
         raise ConfigError(
-            f"{series.d} variables would enumerate a very large subset family; "
-            f"pass allow_many_variables=True to proceed"
+            f"{series.d} variables with subsets of up to {cap} give {family:,} subsets, "
+            f"more than {MAX_SUBSETS:,}; lower max_subset_size (--max-subset)"
         )
     interval.validate_within(series.n)
     emb_cfg = cfg.embedding
     original = score_interval(series, interval, emb_cfg)
     model = WindowModel.fit(series, interval, emb_cfg)
     rescorer = LocalRescorer(series, interval, emb_cfg)
-
-    cap = subset_cap(series.d, cfg.max_subset_size)
     subsets = enumerate_subsets(series.d, cap)
 
     per_chunk = max(1, RESCORE_STACK // cfg.realizations)
@@ -289,7 +291,8 @@ def attribute(
     per subset and realization) and the interval is re-scored on the modified
     series; subsets are ranked within each cardinality by ascending mean
     score. Subsets that fail numerically are recorded with their error
-    instead of a score.
+    instead of a score. A family of more than ``MAX_SUBSETS`` subsets is
+    refused with a ConfigError before anything is fitted.
     """
     return _attribute_window(series, detection.interval, cfg, label="detection", offset=0)
 

@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .attribution import (
     AttributionConfig,
@@ -40,24 +41,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _ensure_output_dir(cfg: RunConfig) -> str:
+@contextmanager
+def _run_context(cfg: RunConfig):
+    """Create the output directory and log the run to its ``run.log``.
+
+    Yields the directory. On exit the log file is detached and the
+    ``anomattr`` logger gets back the level it had.
+    """
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
-
-
-def _attach_log_file(output_dir: str) -> logging.Handler:
-    handler = logging.FileHandler(os.path.join(output_dir, "run.log"), mode="a")
+    handler = logging.FileHandler(os.path.join(cfg.output_dir, "run.log"), mode="a")
     handler.setLevel(logging.INFO)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s %(message)s"))
     root = logging.getLogger("anomattr")
+    level = root.level
     root.setLevel(logging.INFO)
     root.addHandler(handler)
-    return handler
-
-
-def _detach_log_file(handler: logging.Handler) -> None:
-    logging.getLogger("anomattr").removeHandler(handler)
-    handler.close()
+    try:
+        yield cfg.output_dir
+    finally:
+        root.removeHandler(handler)
+        handler.close()
+        root.setLevel(level)
 
 
 def _load_input(cfg: RunConfig) -> MultivariateSeries:
@@ -76,12 +80,14 @@ def _check_within(interval: Interval, series: MultivariateSeries) -> Interval:
     return interval
 
 
-def _prepare_series(cfg: RunConfig) -> tuple[MultivariateSeries, object | None]:
-    series = _load_input(cfg)
+def _prepare_series(cfg: RunConfig) -> tuple[MultivariateSeries, MultivariateSeries, object | None]:
+    """The input series as scored (z-scored unless ``normalize`` is off), the
+    series as read, and the z-score parameters or None."""
+    raw_series = _load_input(cfg)
     if cfg.normalize:
-        series, params = zscore(series)
-        return series, params
-    return series, None
+        series, params = zscore(raw_series)
+        return series, raw_series, params
+    return raw_series, raw_series, None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -114,10 +120,8 @@ def cmd_detect(cfg: RunConfig) -> int:
         stride=cfg.stride,
         embedding=EmbeddingConfig(cfg.kappa, cfg.tau),
     )
-    series, _ = _prepare_series(cfg)
-    out_dir = _ensure_output_dir(cfg)
-    handler = _attach_log_file(out_dir)
-    try:
+    series, _, _ = _prepare_series(cfg)
+    with _run_context(cfg) as out_dir:
         log.info("detect input=%s n=%d d=%d", os.path.basename(cfg.input), series.n, series.d)
         detections = detect(series, scan, threads=cfg.threads)
         payload = {
@@ -132,8 +136,6 @@ def cmd_detect(cfg: RunConfig) -> int:
         for det in detections:
             span = f"[{det.interval.a}, {det.interval.b})"
             print(f"{det.rank:>4}  {span:>16}  {det.score:>14.4f}")
-    finally:
-        _detach_log_file(handler)
     return 0
 
 
@@ -217,11 +219,7 @@ def _write_replacement_preview(
 
 
 def cmd_attribute(cfg: RunConfig) -> int:
-    raw_series = _load_input(cfg)
-    if cfg.normalize:
-        series, zparams = zscore(raw_series)
-    else:
-        series, zparams = raw_series, None
+    series, raw_series, zparams = _prepare_series(cfg)
     detections = _load_detections(cfg, series)
     emb = EmbeddingConfig(cfg.kappa, cfg.tau)
     acfg = AttributionConfig(
@@ -246,10 +244,8 @@ def cmd_attribute(cfg: RunConfig) -> int:
     for det in detections:
         for off in cfg.offsets:
             pre_event_window(det.interval, off, series.n, cfg.offset_length)
-    out_dir = _ensure_output_dir(cfg)
-    handler = _attach_log_file(out_dir)
-    try:
-        columns = _report_columns(cfg)
+    columns = _report_columns(cfg)
+    with _run_context(cfg) as out_dir:
         for det in detections:
             log.info("attribute rank=%d interval=[%d, %d)", det.rank, det.interval.a, det.interval.b)
             reports = {"detection": attribute(series, det, acfg)}
@@ -278,15 +274,13 @@ def cmd_attribute(cfg: RunConfig) -> int:
                     reports["detection"],
                 )
         print(f"wrote attribution reports for {len(detections)} detection(s) to {out_dir}")
-    finally:
-        _detach_log_file(handler)
     return 0
 
 
 def cmd_baseline(cfg: RunConfig) -> int:
     if cfg.bins < 2:
         raise ConfigError(f"bins must be >= 2, got {cfg.bins}")
-    series, _ = _prepare_series(cfg)
+    series, _, _ = _prepare_series(cfg)
     if cfg.interval is not None:
         interval = _check_within(cfg.interval, series)
     else:
@@ -294,9 +288,7 @@ def cmd_baseline(cfg: RunConfig) -> int:
         if not detections:
             raise ConfigError("baseline needs --interval a:b or a detections file")
         interval = min(detections, key=lambda det: det.rank).interval
-    out_dir = _ensure_output_dir(cfg)
-    handler = _attach_log_file(out_dir)
-    try:
+    with _run_context(cfg) as out_dir:
         log.info("baseline interval=[%d, %d) bins=%d", interval.a, interval.b, cfg.bins)
         scores, edges, red, green = baseline_histograms(series, interval, cfg.bins)
         payload = {
@@ -317,8 +309,6 @@ def cmd_baseline(cfg: RunConfig) -> int:
                     )
         for name, s in sorted(zip(series.names, scores), key=lambda t: -t[1]):
             print(f"{name:>12}  {s:.6f}")
-    finally:
-        _detach_log_file(handler)
     return 0
 
 
@@ -329,7 +319,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError(f"spec file does not exist: {cfg.spec}")
     spec = load_synth_spec(cfg.spec)
     series, truth = generate(spec)
-    out_dir = _ensure_output_dir(cfg)
+    out_dir = cfg.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(series, os.path.join(out_dir, "series.csv"))
     payload = {
         "n": spec.n,

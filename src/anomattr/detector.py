@@ -51,6 +51,7 @@ thread count.
 from __future__ import annotations
 
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -445,16 +446,17 @@ def _half_logdet(chol):
 class PrefixScanner:
     """Prefix sums over a run of centered embedded rows, for O(1) interval moments.
 
-    ``PrefixScanner(emb)`` covers every row of an embedding and scores any
-    start; :func:`detect` builds one per block of starts over the rows
-    [first, stop) that the block's candidates read. Unusable rows are zero
-    and tracked by a count prefix, so ``counts[hi] - counts[lo]`` over
-    :meth:`_row_range`'s indices is a candidate's usable inside count; its
-    outside is the whole-series totals minus its inside. The prefix index is
-    the last axis (``sums`` (width, rows + 1), packed ``outer_sums``
-    (width(width+1)/2, rows + 1)), so a slice of prefix columns, or a gather
-    where the starts are not an evenly spaced run, gives the stacks that
-    :func:`_fit` turns into factors. Memory is O(rows * width^2).
+    ``PrefixScanner(rows)`` covers every one of a scan's :class:`_ScanRows`
+    and scores any start; :func:`detect` builds one per block of starts
+    over the rows [first, stop) that the block's candidates read. Unusable
+    rows are zero and tracked by a count prefix, so ``counts[hi] -
+    counts[lo]`` over :meth:`_row_range`'s indices is a candidate's usable
+    inside count; its outside is the whole-series totals minus its inside.
+    The prefix index is the last axis (``sums`` (width, rows + 1), packed
+    ``outer_sums`` (width(width+1)/2, rows + 1)), so a slice of prefix
+    columns, or a gather where the starts are not an evenly spaced run,
+    gives the stacks that :func:`_fit` turns into factors. Memory is
+    O(rows * width^2).
 
     With ``rung_base`` (the scan's len_min) the lengths rung_base +
     k ``RUNG_STEP`` are rungs: :meth:`score_batch` keeps each rung inside's
@@ -465,9 +467,8 @@ class PrefixScanner:
     (:meth:`_ScoreBound.head`).
     """
 
-    def __init__(self, emb: Embedding | _ScanRows, first: int = 0, stop: int | None = None,
+    def __init__(self, whole: _ScanRows, first: int = 0, stop: int | None = None,
                  rung_base: int | None = None):
-        whole = emb if isinstance(emb, _ScanRows) else _ScanRows(emb)
         stop = len(whole.centered) if stop is None else stop
         x = whole.centered[first:stop].T
         lower_i, lower_j = np.tril_indices(whole.width)
@@ -482,7 +483,8 @@ class PrefixScanner:
         np.cumsum(x[lower_i] * x[lower_j], axis=1, out=self.outer_sums[:, 1:])
         self.rung_base = rung_base
         self.rungs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length: (starts, ln|Sp_j| / 2)
-        self.rung_pruned: dict[int, int] = {}  # length: candidates its rung bound pruned
+        self.rung_pruned = 0  # candidates pruned by a rung bound, over every length
+        self._lock = threading.Lock()  # threads score lengths of one scanner at once
         if rung_base is not None and whole.bound is not None:
             self.traces = whole.bound.weights @ self.outer_sums
 
@@ -539,7 +541,8 @@ class PrefixScanner:
             out[ok], half_logdet = self._pruned(lo, hi, length, floor, bound)
         else:  # between rungs: only what reaches the floor through its rung is fitted
             reach = self._nested(starts, lo, hi, length, bound) >= floor
-            self.rung_pruned[length] = reach.size - int(np.count_nonzero(reach))
+            with self._lock:
+                self.rung_pruned += reach.size - int(np.count_nonzero(reach))
             scores = np.full(reach.shape, -np.inf)
             if reach.any():
                 scores[reach] = self._pruned(lo[reach], hi[reach], length, floor, bound)[0]
@@ -830,7 +833,7 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
                     keep = finite & (scores >= floor)
                     if keep.any():
                         scored.append((scores[keep], starts[keep], np.full(int(keep.sum()), length)))
-            rung_pruned += sum(scanner.rung_pruned.values())
+            rung_pruned += scanner.rung_pruned
             del scanner  # its prefix, before the floor's walk and the next block's prefix
             if s1 < grid_end:
                 raise_floor()

@@ -120,7 +120,7 @@ SOLVE_BLOCK = 32
 
 
 def solve_lower(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L x = b, or L' x = b, for lower triangular L (..., m, m) and b (..., m, R) or (m,).
+    """Solve L x = b, or L' x = b, for lower triangular L (..., m, m) and b (..., m, R).
 
     Leading axes are a stack: each matrix of ``chol`` solves its own right-hand
     sides. numpy has no triangular solve, and a general solve runs a pivoted
@@ -130,9 +130,6 @@ def solve_lower(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> n
     """
     m = chol.shape[-1]
     x = np.array(rhs, dtype=float)
-    vector = x.ndim == 1
-    if vector:
-        x = x[:, None]
     starts = range(0, m, SOLVE_BLOCK)
     for s in reversed(starts) if transpose else starts:
         e = min(s + SOLVE_BLOCK, m)
@@ -145,7 +142,7 @@ def solve_lower(chol: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> n
                 x[..., s:e, :] -= chol[..., s:e, :s] @ x[..., :s, :]
             block = chol[..., s:e, s:e]
         x[..., s:e, :] = np.linalg.solve(block, x[..., s:e, :])
-    return x[:, 0] if vector else x
+    return x
 
 
 def interval_score(kl, length: int):

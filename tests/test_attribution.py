@@ -21,7 +21,7 @@ from anomattr import (
     univariate_baseline,
     zscore,
 )
-from anomattr import detector
+from anomattr import attribution, detector
 from anomattr.errors import ConfigError, EstimationError
 
 from conftest import make_series
@@ -267,10 +267,45 @@ class TestAttribute:
         with pytest.raises(ConfigError):
             attribute(series, detection_for(Interval(50, 80)), AttributionConfig())
 
-    def test_many_variables_need_explicit_opt_in(self, rng):
+    def test_a_family_above_the_limit_is_refused_before_any_fit(self, rng, monkeypatch):
+        """21 variables at the default cap of 11 give 1,401,291 subsets."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the window was fitted")
+
+        monkeypatch.setattr(attribution, "score_interval", refuse)
+        monkeypatch.setattr(attribution.WindowModel, "fit", refuse)
         series = make_series(rng.standard_normal((100, 21)))
-        with pytest.raises(ConfigError, match="allow_many_variables"):
+        with pytest.raises(ConfigError, match=r"1,401,291 subsets.*max_subset_size"):
             attribute(series, detection_for(Interval(40, 60)), AttributionConfig())
+
+    def test_the_largest_family_admitted_is_twenty_variables_at_the_default_cap(
+        self, rng, monkeypatch
+    ):
+        class Fitted(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Fitted
+
+        monkeypatch.setattr(attribution, "score_interval", stop)
+        assert attribution.MAX_SUBSETS == sum(math.comb(20, k) for k in range(1, 11))
+        series = make_series(rng.standard_normal((100, 20)))
+        with pytest.raises(Fitted):  # past the family check, at the first fit
+            attribute(series, detection_for(Interval(40, 60)), AttributionConfig())
+
+    def test_a_capped_wide_series_scores_every_subset(self, rng):
+        values = rng.standard_normal((300, 21))
+        values[100:140, 3] += 4.0
+        series = make_series(values)
+        cfg = AttributionConfig(
+            embedding=EmbeddingConfig(kappa=1, tau=1), realizations=2, max_subset_size=2
+        )
+        report = attribute(series, detection_for(Interval(100, 140)), cfg)
+        assert len(report.subsets) == 21 + math.comb(21, 2) == 231
+        assert all(s.mean_score is not None for s in report.subsets)
+        assert report.max_subset_size == 2
+        best = min(report.by_size(1), key=lambda s: s.rank)
+        assert best.subset.indices == (3,)  # the shifted variable
 
     def test_monotone_information_property(self):
         """Replacing a superset of the anomalous subset never scores worse than

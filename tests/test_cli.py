@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from anomattr import (
     Detection,
     EmbeddingConfig,
     Interval,
+    MultivariateSeries,
     WindowModel,
     apply_replacement,
     attribute,
     inverse_zscore,
     load_csv,
     score_interval,
+    write_csv,
     zscore,
 )
 from anomattr import attribution
@@ -73,6 +76,15 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--spec", str(spec), "--output-dir", str(out)]) == 0
     return out
+
+
+def noise_csv(tmp_path, d: int):
+    """A CSV of 300 steps of white noise in ``d`` variables, the fourth shifted over [100, 140)."""
+    values = np.random.default_rng(d).standard_normal((300, d))
+    values[100:140, 3] += 4.0
+    path = tmp_path / f"noise_{d}.csv"
+    write_csv(MultivariateSeries(values), str(path))
+    return path
 
 
 def run_detect(sim_dir, out, extra=()):
@@ -345,6 +357,62 @@ class TestAttribute:
             outs.append(out)
         for fname in ("attribution_1.json", "attribution_1.csv", "replacement_preview.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("b, code", [(112, 0), (111, 2)], ids=["width", "one_row_fewer"])
+    def test_a_named_interval_needs_the_width(self, tmp_path, capsys, b, code):
+        """At d = 4 and kappa = 3, so width 12, an interval of 12 usable rows is
+        attributed; one of 11 is refused before anything is written."""
+        out = tmp_path / "out"
+        got = main(
+            ["attribute", "--input", str(noise_csv(tmp_path, 4)), "--output-dir", str(out),
+             "--interval", f"100:{b}", "--kappa", "3", "--max-subset", "1", "--realizations", "2"]
+        )
+        assert got == code
+        if code:
+            assert "11 usable embedded rows, fewer than the width 12" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            report = json.loads((out / "attribution_1.json").read_text())
+            assert [s["mean_score"] is not None for s in report["subsets"]] == [True] * 4
+
+    def test_a_wide_series_needs_a_subset_cap(self, tmp_path, capsys):
+        """21 variables at the default cap of 11 give more subsets than any
+        window may enumerate; capped at 2 they give 231."""
+        args = ["attribute", "--input", str(noise_csv(tmp_path, 21)), "--interval", "100:140",
+                "--kappa", "1", "--realizations", "2"]
+        refused = tmp_path / "refused"
+        assert main([*args, "--output-dir", str(refused)]) == 2
+        assert "--max-subset" in capsys.readouterr().err
+        assert not list(refused.glob("attribution_*"))
+        assert not (refused / "replacement_preview.csv").exists()
+        capped = tmp_path / "capped"
+        assert main([*args, "--output-dir", str(capped), "--max-subset", "2"]) == 0
+        report = json.loads((capped / "attribution_1.json").read_text())
+        assert len(report["subsets"]) == 231
+        assert all(s["mean_score"] is not None for s in report["subsets"])
+
+
+def test_each_command_restores_the_anomattr_logger(sim_dir, tmp_path):
+    """Whether a command exits 0 or fails after its log is attached, the
+    ``anomattr`` logger keeps the level and handlers it had before."""
+    logger = logging.getLogger("anomattr")
+    level = logger.level
+    logger.setLevel(logging.WARNING)
+    try:
+        state = logger.level, list(logger.handlers)
+        series = str(sim_dir / "series.csv")
+        assert run_detect(sim_dir, tmp_path / "det") == 0
+        assert (logger.level, logger.handlers) == state
+        base = ["baseline", "--input", series, "--output-dir", str(tmp_path / "b")]
+        assert main([*base, "--interval", "500:550"]) == 0
+        assert (logger.level, logger.handlers) == state
+        wide = ["attribute", "--input", str(noise_csv(tmp_path, 21)), "--interval", "100:140",
+                "--kappa", "1", "--output-dir", str(tmp_path / "a")]
+        assert main(wide) == 2  # refused inside the run, with run.log attached
+        assert (tmp_path / "a" / "run.log").exists()
+        assert (logger.level, logger.handlers) == state
+    finally:
+        logger.setLevel(level)
 
 
 class TestBaseline:

@@ -124,7 +124,7 @@ class TestPrefixEquivalence:
                 values[rng.integers(0, n, 5), :] = np.nan
             series = make_series(values)
             emb = embed(series, EMB)
-            scanner = PrefixScanner(emb)
+            scanner = PrefixScanner(detector._ScanRows(emb))
             length = int(rng.integers(10, max(11, n // 3)))
             start = int(rng.integers(0, n - length + 1))
             batch = scanner.score_batch(np.array([start]), length)[0]
@@ -153,7 +153,7 @@ class TestUnderdetermined:
 
     def test_scan_naive_and_local_rescore_agree(self, clumped):
         iv = Interval(100, 125)
-        scanner = PrefixScanner(embed(clumped, EMB))
+        scanner = PrefixScanner(detector._ScanRows(embed(clumped, EMB)))
         assert np.isnan(scanner.score_batch(np.array([iv.a]), iv.length)[0])
         with pytest.raises(ScoringError, match="width"):
             score_interval(clumped, iv, EMB)
@@ -393,7 +393,7 @@ class TestOneFactorization:
 
     def test_scan_drops_a_candidate_whose_factor_fails(self, case, monkeypatch):
         series, interval, _ = case
-        scanner = PrefixScanner(embed(series, EMB))
+        scanner = PrefixScanner(detector._ScanRows(embed(series, EMB)))
         starts = np.array([20, interval.a, 200])
         want = scanner.score_batch(starts, interval.length)
         assert np.isfinite(want).all()
@@ -413,7 +413,7 @@ class TestOneFactorization:
         """In a large stack, the stack-last Cholesky gives the one indefinite
         covariance a NaN factor and leaves the others as they were."""
         series, interval, _ = case
-        scanner = PrefixScanner(embed(series, EMB))
+        scanner = PrefixScanner(detector._ScanRows(embed(series, EMB)))
         starts = np.arange(0, series.n - interval.length + 1, 3)
         assert starts.size >= 80
         want = scanner.score_batch(starts, interval.length)
@@ -716,8 +716,9 @@ class TestScoreBound:
             assert np.all(upper[(few | failed)[ok]] == np.inf)
             assert np.isfinite(upper[~(few | failed)[ok]]).all()
             # Through score_batch: any floor prunes none of them before a fit.
+            before = scanner.rung_pruned
             floored = scanner.score_batch(starts, length, floor=np.inf)
-            assert scanner.rung_pruned[length] == int((ok & ~few & ~failed).sum())
+            assert scanner.rung_pruned - before == int((ok & ~few & ~failed).sum())
             assert np.array_equal(np.isnan(floored), ~ok)
 
     def test_a_zero_inside_meets_the_bound_within_its_margin(self):
@@ -873,14 +874,15 @@ class TestPruning:
     def test_log_splits_the_pruned_counts(self, series, monkeypatch):
         """The log line counts the candidates the rung bound prunes before any
         fit apart from those the exact bound prunes; neither count depends on
-        the thread count."""
+        the thread count, even with more threads than cores adding to one
+        scanner's count."""
         monkeypatch.setattr(detector, "SCAN_BLOCK", 48)
         cfg = ScanConfig(len_min=12, len_max=30, top_k=2, embedding=EmbeddingConfig(kappa=2))
         serial, counted = self.run(series, cfg, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch often: a lost update would show
         try:
-            threaded, counted_threaded = self.run(series, cfg, 2)
+            threaded, counted_threaded = self.run(series, cfg, 4)
         finally:
             sys.setswitchinterval(interval)
         assert serial == threaded
@@ -940,6 +942,37 @@ class TestPruning:
         detect(series, cfg, threads=2)
 
 
+class TestRowCountBoundary:
+    """The row-count rule at d = 4, kappa = 3, so width 12, with no missing
+    cells: an interval asked for by name is scored with exactly the width's
+    usable rows and refused with one fewer; the scan ranks only an interval
+    with more than the width."""
+
+    CFG = EmbeddingConfig(kappa=3, tau=1)
+
+    @pytest.fixture
+    def series(self):
+        return make_series(np.random.default_rng(12).standard_normal((200, 4)))
+
+    def test_a_named_interval_needs_the_width(self, series):
+        assert embed(series, self.CFG).width == 12
+        at_width = Interval(50, 62)
+        assert np.isfinite(score_interval(series, at_width, self.CFG))
+        LocalRescorer(series, at_width, self.CFG).check((0,))
+        short = Interval(50, 61)
+        with pytest.raises(ScoringError, match="11 usable embedded rows, fewer than the width 12"):
+            score_interval(series, short, self.CFG)
+        with pytest.raises(ScoringError, match="11 usable embedded rows, fewer than the width 12"):
+            LocalRescorer(series, short, self.CFG).check((0,))
+
+    def test_the_scan_needs_one_row_more(self, series):
+        scanner = PrefixScanner(detector._ScanRows(embed(series, self.CFG)))
+        starts = np.array([50])
+        assert np.isnan(scanner.score_batch(starts, 12)[0])
+        naive = score_interval(series, Interval(50, 63), self.CFG)
+        assert scanner.score_batch(starts, 13)[0] == pytest.approx(naive, rel=1e-12)
+
+
 class TestSliceGather:
     """score_batch reads an evenly spaced run of starts through basic slices
     and anything else through a gather; the two give the same scores."""
@@ -956,7 +989,7 @@ class TestSliceGather:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("length", [8, 12, 30])
     def test_run_equals_shuffled_starts(self, series, stride, length):
-        scanner = PrefixScanner(embed(series, EMB))
+        scanner = PrefixScanner(detector._ScanRows(embed(series, EMB)))
         starts = np.arange(0, series.n - length + 1, stride)  # from 0: the head clips
         lo, hi = scanner._row_range(starts, length)
         clipped = int((starts < scanner.lead).sum())  # to the prefix's first row
@@ -983,6 +1016,25 @@ class TestSliceGather:
                 sliced = scanner._gather(prefix, total, [(part, *slices)])
                 gathered = scanner._gather(prefix, total, [(part, *one)])
                 assert np.array_equal(sliced, gathered)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_start_scores_alone_as_in_its_run(self, seed):
+        """The last bits of a score may depend on the stack it is fitted in,
+        but no more: each of a run of 116 starts (length 30, stride 2) scores
+        alone within 1e-12 relative of its score inside the run."""
+        rng = np.random.default_rng([13, seed])
+        values = rng.standard_normal((260, 2))
+        values[120:150] += 2.0
+        missing = rng.random(values.shape) < 0.02
+        scanner = PrefixScanner(detector._ScanRows(embed(make_series(values, missing=missing), EMB)))
+        starts = np.arange(0, 260 - 30 + 1, 2)
+        assert starts.size == 116
+        run = scanner.score_batch(starts, 30)
+        alone = np.concatenate([scanner.score_batch(starts[i : i + 1], 30) for i in range(116)])
+        assert np.array_equal(np.isnan(run), np.isnan(alone))
+        assert np.isfinite(run).sum() > 100
+        ok = np.isfinite(run)
+        np.testing.assert_allclose(alone[ok], run[ok], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -287,11 +287,11 @@ class TestSolveLower:
 
     @pytest.mark.parametrize("m", [1, 31, 32, 33, 150])
     @pytest.mark.parametrize("transpose", [False, True])
-    @pytest.mark.parametrize("columns", [None, 5])
+    @pytest.mark.parametrize("columns", [None, 5])  # None: one right-hand side, (m, 1)
     def test_matches_general_solve(self, rng, m, transpose, columns):
         a = rng.normal(size=(m, m))
         chol = np.linalg.cholesky(a @ a.T / m + np.eye(m))
-        rhs = rng.normal(size=m if columns is None else (m, columns))
+        rhs = rng.normal(size=(m, columns or 1))
         want = np.linalg.solve(chol.T if transpose else chol, rhs)
         got = solve_lower(chol, rhs, transpose=transpose)
         assert got.shape == rhs.shape
