@@ -34,7 +34,9 @@ from .series import (
 )
 from .synth import generate
 
-log = logging.getLogger(__name__)
+# Named, not __name__: run as ``python -m anomattr.cli`` this module is
+# ``__main__``, whose lines would miss the ``anomattr`` logger and run.log.
+log = logging.getLogger("anomattr.cli")
 
 
 def _fmt(x: float) -> str:
@@ -45,7 +47,8 @@ def _fmt(x: float) -> str:
 def _run_context(cfg: RunConfig):
     """Create the output directory and log the run to its ``run.log``.
 
-    Yields the directory. On exit the log file is detached and the
+    Yields the directory. A run refused inside it logs the reason at
+    ERROR before it ends. On exit the log file is detached and the
     ``anomattr`` logger gets back the level it had.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -58,6 +61,9 @@ def _run_context(cfg: RunConfig):
     root.addHandler(handler)
     try:
         yield cfg.output_dir
+    except (AnomattrError, OSError) as exc:  # the refusals main reports
+        log.error("%s", exc)
+        raise
     finally:
         root.removeHandler(handler)
         handler.close()

@@ -29,23 +29,29 @@ scan is required (and tested) to match naive per-interval re-estimation.
 Suppression reads only the best candidates: :func:`_select` sorts a window
 of them and widens it only if it runs out before ``top_k``.
 
-The scan prunes exactly. A scan of one block scores every candidate, with
-no bound and no floor. A longer one scores each block in two phases: first
-its rungs, the lengths len_min + k ``RUNG_STEP``, then the lengths between
-them. After each phase that another follows, a floor is set from the
-candidates scored so far (:func:`_floor`): no candidate that scores below
-it can change the detections. The first block's rungs are scored in full;
-from then on a candidate is bounded from above (:class:`_ScoreBound`)
-before its outside is fitted. A rung's inside is fitted and factored, and
-its bound follows from that factor and the whole-series totals. A length
-between rungs is first bounded from the factor of the rung just below it
-at the same start, since nested insides bound each other's
-log-determinant, at O(width^2) per candidate and with no fit; only a
-candidate that reaches the floor has its own inside fitted and its exact
-bound taken. Only a candidate whose exact bound reaches the floor has its
-outside fitted and its divergence taken; the others score -inf. The floor
-moves only between phases, so the candidates scored do not depend on the
-thread count.
+The scan prunes exactly, whether it has one block or several. Each block
+is scored in phases: first len_min alone, then the other rungs, the
+lengths len_min + k ``RUNG_STEP``, then the lengths between them; a phase
+with no length is left out. After each phase that another follows, a floor
+is set from the candidates scored so far (:func:`_floor`): no candidate
+that scores below it can change the detections. Only the first block's
+opening phase is scored in full; from then on a candidate is bounded from
+above (:class:`_ScoreBound`) before its outside is fitted. A rung's inside
+is fitted and factored, and its bound follows from that factor and the
+whole-series totals. A length between rungs is first bounded from the
+factor of the rung just below it at the same start, since nested insides
+bound each other's log-determinant, at O(width^2) per candidate and with
+no fit; only a candidate that reaches the floor has its own inside fitted
+and its exact bound taken. Either bound goes through g = tr(M A), a loose
+bound on an eigenvalue when the width is large against the rows; only a
+candidate whose bound reaches the floor through it has g tightened by the
+Wolkowicz-Styan bound, from a prefix of whitened outer products that each
+block builds once it has a floor, and is bounded again. Only a candidate
+whose exact bound reaches the floor has its outside fitted and its
+divergence taken; the others score -inf. The floor moves only between
+phases, so the candidates scored do not depend on the thread count. A
+scan whose outer-product total is not positive definite has no bound and
+scores every candidate in one phase.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +85,9 @@ log = logging.getLogger(__name__)
 #: candidates.
 SCAN_BLOCK = 4096
 
-#: Gap between the rungs of a scan of several blocks: the lengths len_min,
-#: len_min + RUNG_STEP, ... are scored first in each block, and every other
-#: length is bounded from the factor of the rung just below it.
+#: Gap between the rungs of a scan: the lengths len_min, len_min + RUNG_STEP,
+#: ... are scored first in each block, and every other length is bounded
+#: from the factor of the rung just below it.
 RUNG_STEP = 3
 
 
@@ -314,6 +321,31 @@ class _ScanRows:
 #: round-off of the bound and of the exact score it is compared with.
 BOUND_MARGIN = (1e-9, 1e-6)
 
+#: Round-off slack of the variance term f/m - (t/m)^2 of the Wolkowicz-Styan
+#: bound (:meth:`_ScoreBound.eigen`), relative to f/m; the term is computed
+#: with cancellation, to a few units of 1e-16 f/m.
+EIGEN_SLACK = 1e-12
+
+
+class _Head(NamedTuple):
+    """Every term of a divergence bound but -ln|Sp_j| / 2, for N insides: g,
+    a bound on lambda_max(T2^-1/2 A T2^-1/2), and the terms that do not
+    depend on it (:meth:`_ScoreBound.head`)."""
+
+    g: np.ndarray
+    n_out: np.ndarray
+    load: np.ndarray  # tr(M Sp) + eps_p tr M + Delta' M Delta
+    rest: np.ndarray  # lnq - m
+
+    def value(self):
+        """1/2 [n_o / (1 - g) load + rest]; +inf where g >= 1 or g is NaN."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = self.n_out / (1.0 - self.g)
+        return np.where(self.g < 1.0, 0.5 * (scale * self.load + self.rest), np.inf)
+
+    def take(self, keep) -> _Head:
+        return _Head(*(column[keep] for column in self))
+
 
 class _ScoreBound:
     """An upper bound on a scan candidate's score from its fitted inside alone.
@@ -352,7 +384,31 @@ class _ScoreBound:
     bound is NaN. Every term but ln|Sp_j| costs O(m^2) per candidate: tr(M I2)
     and tr I2 come from one product of M's packed weights with the
     outer-product sums, or from a prefix of that product, and the rest from
-    the sums s_i and M s_i (:meth:`head`).
+    the sums s_i and M s_i (:meth:`head`). Only g and n_o / (1 - g) depend
+    on g, so a tighter g costs no other term again (:class:`_Head`).
+
+    *Eigenvalue bound.* g sums every eigenvalue of P = W A W, W = T2^-1/2,
+    up to m times the largest, and n_o / (1 - g) feels that once g is not
+    small against 1, as when m n_i is not small against n_T. Let
+    P have the eigenvalues p_1 >= ... >= p_m, their mean t / m with
+    t = tr P, and f = ||P||_F^2 = sum_k p_k^2. The deviations p_k - t / m
+    sum to 0, so those of p_2 ... p_m sum to -(p_1 - t / m), and by
+    Cauchy-Schwarz their squares sum to at least (p_1 - t / m)^2 / (m - 1).
+    With all m, f - t^2 / m >= (p_1 - t / m)^2 m / (m - 1), which is the
+    Wolkowicz-Styan bound (Wolkowicz and Styan, "Bounds for eigenvalues
+    using traces", Linear Algebra Appl. 29, 1980):
+
+        p_1 <= t / m + sqrt((m - 1) (f / m - (t / m)^2)).
+
+    P = Z + v v' with Z = W I2 W, the inside sums of the outer products of
+    the whitened rows W x (a prefix of them, ``PrefixScanner.whitened``),
+    and v = W s_o / sqrt(n_o) = (W s_T - W s_i) / sqrt(n_o): the s_o term
+    folds into the packed Z exactly, and t and f cost O(m^2) per
+    candidate (:meth:`eigen`). The variance term f / m - (t / m)^2 is
+    computed with cancellation, to a few units of 1e-16 f / m, so it is
+    inflated by ``EIGEN_SLACK`` f / m. The bound then uses min(g, that),
+    ignoring a NaN. W and M come from one eigendecomposition of T2, so
+    both bounds on p_1 carry its round-off, about 1e-16 cond(T2) relative.
 
     *Nested insides.* ln|Sp_j| comes from the inside's factor, or, without
     one, from the factor of a nested inside. Take one start and lengths
@@ -378,20 +434,24 @@ class _ScoreBound:
         if not self.eigenvalues[0] > 0:
             raise np.linalg.LinAlgError("the outer-product total is not positive definite")
         self.precision = (basis / self.eigenvalues) @ basis.T
-        diagonal = lower[0] == lower[1]
+        self.whitening = (basis / np.sqrt(self.eigenvalues)) @ basis.T  # W = T2^-1/2
+        self.diagonal = lower[0] == lower[1]
+        # ||.||_F^2 of a packed symmetric matrix: its off-diagonal entries count twice.
+        self.frobenius = np.where(self.diagonal, 1.0, 2.0)
         # tr(M I2) and tr I2 as one product with the packed lower triangle of I2.
-        self.weights = np.stack([np.where(diagonal, 1.0, 2.0) * self.precision[lower], diagonal])
+        self.weights = np.stack([self.frobenius * self.precision[lower], self.diagonal])
         self.width = width
         self.count = float(count[0])
         self.scaled_total = self.precision @ total_sum[:, 0]  # M s_T
+        self.whitened_total = self.whitening @ total_sum[:, 0]  # W s_T
         self.total_form = float(total_sum[:, 0] @ self.scaled_total)  # s_T' M s_T
         self.trace_precision = float(np.trace(self.precision))
         # n_o <= n_T: one sum of logs bounds every candidate's.
         jitter = JITTER_FLOOR * max(self.count, float(np.trace(t2)) / width)
         self.log_eigen = float(np.log(self.eigenvalues + jitter).sum())
 
-    def head(self, counts, sums, traces, scaled):
-        """Every term of the divergence bound but -ln|Sp_j| / 2, for N insides.
+    def head(self, counts, sums, traces, scaled) -> _Head:
+        """The :class:`_Head` of N insides, with g = tr(M A).
 
         ``counts`` (N,) and ``sums`` (m, N) are the insides' :func:`_row_sums`;
         ``traces`` (2, N) is ``weights`` times their packed outer-product
@@ -400,7 +460,6 @@ class _ScoreBound:
         inside without its outer-product sums. Every quadratic form is
         expanded into s_i' M s_i, s_T' M s_i and s_T' M s_T, so only those
         and s_i' s_i are computed per candidate from m-sized columns.
-        +inf where g >= 1 or g is NaN.
         """
         m = self.width
         n_in = counts.astype(float)
@@ -416,10 +475,25 @@ class _ScoreBound:
         # Delta' M Delta, Delta = s_o / n_o - s_i / n_i, with s_o' M s_i = cross - inner.
         maha = outside / n_out**2 - 2.0 * (cross - inner) / (n_out * n_in) + inner / n_in**2
         lnq = self.log_eigen - m * np.log(n_out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = n_out / (1.0 - g)
-        head = 0.5 * (scale * (spread + jitter * self.trace_precision + maha) - m + lnq)
-        return np.where(g < 1.0, head, np.inf)
+        return _Head(g, n_out, spread + jitter * self.trace_precision + maha, lnq - m)
+
+    def eigen(self, n_out, sums, whitened):
+        """The Wolkowicz-Styan bound on lambda_max(W A W) of N insides.
+
+        ``n_out`` (N,) is their outside counts, ``sums`` (m, N) their sums
+        and ``whitened`` (m(m+1)/2, N) their packed whitened outer-product
+        sums W I2 W, which is overwritten. NaN where the variance term is
+        negative, which round-off within the slack cannot make it.
+        """
+        m = self.width
+        v = (self.whitened_total[:, None] - self.whitening @ sums) / np.sqrt(n_out)  # W s_o / sqrt n_o
+        for a, row in _packed_rows(m):  # W A W = W I2 W + v v'
+            whitened[row] += v[a] * v[: a + 1]
+        t = whitened[self.diagonal].sum(axis=0)
+        f = self.frobenius @ np.square(whitened, out=whitened)
+        mean, square = t / m, f / m
+        with np.errstate(invalid="ignore"):
+            return mean + np.sqrt((m - 1) * (square - mean * mean + EIGEN_SLACK * square))
 
     @staticmethod
     def bounds(head, half_logdet, length: int):
@@ -464,14 +538,15 @@ class PrefixScanner:
     just below it at the same start, before any fit. Its terms come from
     the sums and from ``traces`` (2, rows + 1), the bound's packed weights
     times ``outer_sums``, so the outer-product sums are not gathered
-    (:meth:`_ScoreBound.head`).
+    (:meth:`_ScoreBound.head`). Scoring against a floor also reads
+    ``whitened``, the packed prefix of the whitened rows' outer products;
+    both are built by :meth:`prepare_bound`, which must run first.
     """
 
     def __init__(self, whole: _ScanRows, first: int = 0, stop: int | None = None,
                  rung_base: int | None = None):
         stop = len(whole.centered) if stop is None else stop
         x = whole.centered[first:stop].T
-        lower_i, lower_j = np.tril_indices(whole.width)
         self.whole = whole
         self.width = whole.width
         self.lead = whole.lead + first  # anchor time of the prefix's first row
@@ -479,14 +554,30 @@ class PrefixScanner:
         self.counts = np.concatenate([[0], np.cumsum(whole.usable[first:stop])])
         self.sums = np.zeros((self.width, self.rows + 1))
         np.cumsum(x, axis=1, out=self.sums[:, 1:])
-        self.outer_sums = np.zeros((len(lower_i), self.rows + 1))
-        np.cumsum(x[lower_i] * x[lower_j], axis=1, out=self.outer_sums[:, 1:])
+        self.outer_sums = _outer_prefix(x)
         self.rung_base = rung_base
         self.rungs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length: (starts, ln|Sp_j| / 2)
         self.rung_pruned = 0  # candidates pruned by a rung bound, over every length
         self._lock = threading.Lock()  # threads score lengths of one scanner at once
-        if rung_base is not None and whole.bound is not None:
-            self.traces = whole.bound.weights @ self.outer_sums
+        self._span = slice(first, stop)
+        self.traces = self.whitened = None  # built by prepare_bound
+
+    def prepare_bound(self) -> None:
+        """Build the prefixes that scoring against a floor reads, once.
+
+        ``traces`` (2, rows + 1) is the bound's packed weights times
+        ``outer_sums`` (:meth:`_ScoreBound.head`), and ``whitened`` the
+        packed prefix of the outer products of the whitened rows W x
+        (:meth:`_ScoreBound.eigen`). :func:`detect` calls this on its own
+        thread once the block has a floor, so that the prefix is neither
+        built by the threads that share the block's lengths nor held beside
+        an unpruned stack. Nothing is built without a bound.
+        """
+        bound = self.whole.bound
+        if bound is None or self.whitened is not None:
+            return
+        self.traces = bound.weights @ self.outer_sums
+        self.whitened = _outer_prefix(bound.whitening @ self.whole.centered[self._span].T)
 
     def _row_range(self, starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.clip(starts - self.lead, 0, self.rows)
@@ -506,7 +597,8 @@ class PrefixScanner:
         its divergence taken (:meth:`_pruned`); the others score -inf. A
         length between rungs first bounds each candidate from the rung kept
         below it (:meth:`_nested`), and fits only the insides that reach
-        the floor; those that do not are counted in ``rung_pruned``.
+        the floor; those that do not are counted in ``rung_pruned``. A
+        floor needs :meth:`prepare_bound` first.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -537,28 +629,37 @@ class PrefixScanner:
             )
             half_logdet = _half_logdet(chol[..., : len(lo)]) if rung else None
             out[ok] = _scores(mean, chol, length)
+        elif self.whitened is None:
+            raise RuntimeError("scoring against a floor needs prepare_bound() first")
         elif rung or self.rung_base is None:
             out[ok], half_logdet = self._pruned(lo, hi, length, floor, bound)
         else:  # between rungs: only what reaches the floor through its rung is fitted
-            reach = self._nested(starts, lo, hi, length, bound) >= floor
+            bounds, head = self._nested(starts, lo, hi, length, bound, floor)
+            reach = bounds >= floor
             with self._lock:
                 self.rung_pruned += reach.size - int(np.count_nonzero(reach))
             scores = np.full(reach.shape, -np.inf)
             if reach.any():
-                scores[reach] = self._pruned(lo[reach], hi[reach], length, floor, bound)[0]
+                head = None if head is None else head.take(reach)
+                scores[reach] = self._pruned(lo[reach], hi[reach], length, floor, bound, head)[0]
             out[ok] = scores
         if rung:
             self.rungs[length] = starts, half_logdet
         return out
 
-    def _nested(self, starts, lo, hi, length: int, bound: _ScoreBound):
+    def _nested(self, starts, lo, hi, length: int, bound: _ScoreBound, floor: float = -np.inf):
         """Score bounds of the insides [s, s + length) of ``starts``, with prefix
         indices ``lo`` and ``hi``, from the rung kept just below ``length``
-        at each start (:meth:`_ScoreBound.nested`); +inf where none was kept.
+        at each start (:meth:`_ScoreBound.nested`), and their :class:`_Head`.
+
+        The bounds are +inf where no rung was kept, and the head None if
+        none was kept at any start. Where the bound through g = tr(M A)
+        reaches ``floor``, g is tightened (:meth:`_tighten`) and the bound
+        taken again.
         """
         rung = length - (length - self.rung_base) % RUNG_STEP
         if rung not in self.rungs:
-            return np.full(starts.shape, np.inf)
+            return np.full(starts.shape, np.inf), None
         rung_starts, rung_half = self.rungs[rung]
         # The rung's scorable starts, ascending as detect's are; a longer
         # length's starts are among the rung's, but a start may be scorable
@@ -571,28 +672,60 @@ class PrefixScanner:
         sums = self._gather(self.sums, None, runs)
         traces = self._gather(self.traces, None, runs)
         head = bound.head(counts, sums, traces, bound.precision @ sums)
-        return bound.nested(head, half, rung_counts, counts, length)
+        bounds = bound.nested(head.value(), half, rung_counts, counts, length)
+        reach = bounds >= floor
+        if self._tighten(head, reach, lo, hi, sums, bound):
+            bounds[reach] = bound.nested(
+                head.take(reach).value(), half[reach], rung_counts[reach], counts[reach], length
+            )
+        return bounds, head
 
-    def _inside(self, lo: np.ndarray, hi: np.ndarray, length: int, bound: _ScoreBound):
+    def _tighten(self, head: _Head, keep, lo, hi, sums, bound: _ScoreBound) -> bool:
+        """Lower g of the insides where ``keep`` to their eigenvalue bound
+        (:meth:`_ScoreBound.eigen`) where that is lower, in place; False if
+        ``keep`` holds none. ``sums`` are the insides' sums."""
+        if not keep.any():
+            return False
+        whitened = self._gather(self.whitened, None, _runs(lo[keep], hi[keep]))
+        eigen = bound.eigen(head.n_out[keep], sums[:, keep], whitened)
+        head.g[keep] = np.fmin(head.g[keep], eigen)  # a NaN bound leaves g
+        return True
+
+    def _inside(self, lo: np.ndarray, hi: np.ndarray, length: int, bound: _ScoreBound,
+                floor: float = -np.inf, head: _Head | None = None):
         """Fitted means and factors of the insides with prefix indices ``lo``,
-        ``hi``, their score bounds, and their ln|Sp_j| / 2."""
+        ``hi``, their score bounds, and their ln|Sp_j| / 2.
+
+        Without their ``head``, it is taken here, and where the bound
+        through g = tr(M A) reaches ``floor``, g is tightened
+        (:meth:`_tighten`) and the bound taken again.
+        """
         counts = self.counts[hi] - self.counts[lo]
         runs = _runs(lo, hi)
         sums = self._gather(self.sums, None, runs)
         outer = self._gather(self.outer_sums, None, runs)
-        head = bound.head(counts, sums, bound.weights @ outer, bound.precision @ sums)
+        tighten = head is None
+        if tighten:
+            head = bound.head(counts, sums, bound.weights @ outer, bound.precision @ sums)
         mean, chol = _fit(counts, sums, outer)
         half_logdet = _half_logdet(chol)
-        return mean, chol, bound.bounds(head, half_logdet, length), half_logdet
+        bounds = bound.bounds(head.value(), half_logdet, length)
+        if tighten:
+            reach = bounds >= floor
+            if self._tighten(head, reach, lo, hi, sums, bound):
+                bounds[reach] = bound.bounds(head.take(reach).value(), half_logdet[reach], length)
+        return mean, chol, bounds, half_logdet
 
-    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound):
+    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound,
+                head: _Head | None = None):
         """Scores of scorable candidates whose bound reaches ``floor``, -inf for
-        the others, and the ln|Sp_j| / 2 of every inside.
+        the others, and the ln|Sp_j| / 2 of every inside; ``head`` as in
+        :meth:`_inside`.
 
         A candidate's outside is fitted from the same sums as in the stack
         of both sides, but in its own, smaller stack.
         """
-        mean_p, chol_p, bounds, half_logdet = self._inside(lo, hi, length, bound)
+        mean_p, chol_p, bounds, half_logdet = self._inside(lo, hi, length, bound, floor, head)
         reach = bounds >= floor
         scores = np.full(lo.shape, -np.inf)
         if reach.any():
@@ -622,7 +755,10 @@ class PrefixScanner:
         sides = np.empty((len(prefix), 1 if total is None else 2, n))
         inside = sides[:, 0]
         for part, lo, hi in runs:
-            np.subtract(prefix[:, hi], prefix[:, lo], out=inside[:, part])
+            if isinstance(lo, slice):
+                np.subtract(prefix[:, hi], prefix[:, lo], out=inside[:, part])
+            else:  # take copies the columns of index arrays faster than indexing does
+                np.subtract(prefix.take(hi, axis=1), prefix.take(lo, axis=1), out=inside[:, part])
         if total is not None:
             np.subtract(total, inside, out=sides[:, 1])
         return sides.reshape(len(prefix), -1)
@@ -648,6 +784,33 @@ def _runs(lo: np.ndarray, hi: np.ndarray):
     return [(slice(0, k), lo[:k], hi[:k]), tail] if k else [tail]
 
 
+def _packed_rows(width: int):
+    """(a, slice) for each row a of a packed lower triangle: the slice of its
+    entries (a, 0), ..., (a, a)."""
+    start = 0
+    for a in range(width):
+        yield a, slice(start, start + a + 1)
+        start += a + 1
+
+
+def _outer_prefix(x: np.ndarray) -> np.ndarray:
+    """Packed prefix (w(w+1)/2, r + 1) of the outer products of the columns of
+    ``x`` (w, r): column k holds the sum over the first k, in
+    ``np.tril_indices`` order.
+
+    Built row by row of the triangle, x[a] times x[:a + 1], then summed in
+    place: no gathered copy of the factors, and the same bits as
+    ``np.cumsum(x[i] * x[j], axis=1)`` over the triangle's indices i, j.
+    """
+    width, rows = x.shape
+    prefix = np.zeros((width * (width + 1) // 2, rows + 1))
+    body = prefix[:, 1:]
+    for a, row in _packed_rows(width):
+        np.multiply(x[a], x[: a + 1], out=body[row])
+    np.cumsum(body, axis=1, out=body)
+    return prefix
+
+
 def _fit(counts: np.ndarray, sums: np.ndarray, outer: np.ndarray):
     """Means (width, N) and jittered covariance factors (width, width, N, lower triangles) from moment sums.
 
@@ -663,12 +826,10 @@ def _fit(counts: np.ndarray, sums: np.ndarray, outer: np.ndarray):
     mean = sums / counts
     outer /= counts
     covs = np.empty((len(mean), len(mean), outer.shape[1]))
-    start = 0
-    for a, mean_a in enumerate(mean):  # row by row: no stack-sized temporary
+    for a, packed in _packed_rows(len(mean)):  # row by row: no stack-sized temporary
         row = covs[a, : a + 1]
-        np.multiply(mean_a, mean[: a + 1], out=row)
-        np.subtract(outer[start : start + a + 1], row, out=row)
-        start += a + 1
+        np.multiply(mean[a], mean[: a + 1], out=row)
+        np.subtract(outer[packed], row, out=row)
     return mean, jittered_cholesky(covs)
 
 
@@ -758,19 +919,21 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     Candidates are every (start, length) with len_min <= length <= len_max,
     starts on the stride grid. They are scored in blocks of ``SCAN_BLOCK``
     starts, each from one prefix over the rows it reads; threads share the
-    lengths of one phase of a block. A scan of one block, or one whose
-    outer-product total has no :class:`_ScoreBound`, scores every length in
-    one phase. Otherwise each block has two: first its rungs (len_min + k
-    ``RUNG_STEP``), then the lengths between them. After each phase that
+    lengths of one phase of a block. A scan whose outer-product total has
+    no :class:`_ScoreBound` scores every length in one phase. Otherwise
+    each block has up to three: len_min alone, the other rungs (len_min +
+    k ``RUNG_STEP``), then the lengths between them. After each phase that
     another follows, the floor rises to the :func:`_floor` of the
     candidates kept so far, and the next phases score exactly only the
     candidates whose bound reaches it; the others cannot change the result.
-    Nor can a candidate scored below the floor, so none is kept. The floor
-    changes only between phases, so neither the candidates scored nor any
-    score depends on ``threads``. Suppression is greedy: candidates are
-    taken in descending score order and discarded if they intersect an
-    accepted one. Ties break deterministically on (start, length). Only as
-    many of the best are sorted as suppression needs (:func:`_select`).
+    Nor can a candidate scored below the floor, so none is kept. Once a
+    block has a floor, this thread builds the prefixes its bounds read
+    (:meth:`PrefixScanner.prepare_bound`). The floor changes only between
+    phases, so neither the candidates scored nor any score depends on
+    ``threads``. Suppression is greedy: candidates are taken in descending
+    score order and discarded if they intersect an accepted one. Ties break
+    deterministically on (start, length). Only as many of the best are
+    sorted as suppression needs (:func:`_select`).
     """
     n = series.n
     if threads < 1:
@@ -782,10 +945,11 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
     grid_end = n - cfg.len_min + 1  # past the last start of any length
     blocks = range(0, grid_end, SCAN_BLOCK)
     meets = _meets(cfg.len_min, cfg.len_max)
-    if len(blocks) > 1 and scan_rows.bound is not None:
+    if scan_rows.bound is not None:
         rung_base = cfg.len_min
+        rungs = lengths[::RUNG_STEP]
         between = [length for length in lengths if (length - rung_base) % RUNG_STEP]
-        phases = [lengths[::RUNG_STEP]] + ([between] if between else [])
+        phases = [phase for phase in ([rung_base], rungs[1:], between) if phase]
     else:  # nothing to prune: no floor, no rungs
         rung_base, phases = None, [lengths]
 
@@ -822,6 +986,8 @@ def detect(series: MultivariateSeries, cfg: ScanConfig, threads: int = 1) -> lis
             for i, phase in enumerate(phases):
                 if i:
                     raise_floor()
+                if floor > -np.inf:
+                    scanner.prepare_bound()
                 for chunk in run(partial(scan_one, scanner, s0, s1, floor), phase):
                     if chunk is None:
                         continue

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: factors one
 matrix at a time through LAPACK, divergences via explicit inverses or sampling, conditionals via the precision matrix,
 covariances and row counts via plain loops over rows, suppression and the
 scan's floor over a full sort of the candidates, and disjoint intervals by
-placing them one by one.
+placing them one by one, prefix sums by gathering the triangle's factors,
+and eigenvalue bounds against ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -202,3 +203,21 @@ def random_gaussian(rng, dim: int, mean_scale: float = 1.0):
     a = rng.normal(size=(dim, dim))
     cov = a @ a.T + dim * np.eye(dim)
     return mean, cov
+
+
+def outer_prefix_by_gather(x: np.ndarray) -> np.ndarray:
+    """Packed prefix of the outer products of the columns of ``x`` (w, r), as
+    a cumulative sum of the gathered lower-triangle products, with a zero
+    first column."""
+    i, j = np.tril_indices(x.shape[0])
+    prefix = np.zeros((len(i), x.shape[1] + 1))
+    np.cumsum(x[i] * x[j], axis=1, out=prefix[:, 1:])
+    return prefix
+
+
+def largest_relative_eigenvalue(a: np.ndarray, t2: np.ndarray) -> float:
+    """The largest eigenvalue of T2^-1/2 A T2^-1/2, as that of L^-1 A L^-T
+    with L the Cholesky factor of T2, by ``np.linalg.eigvalsh``."""
+    chol = np.linalg.cholesky(t2)
+    inner = np.linalg.solve(chol, np.linalg.solve(chol, a).T)
+    return float(np.linalg.eigvalsh((inner + inner.T) / 2)[-1])

@@ -1,6 +1,10 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from anomattr import (
     write_csv,
     zscore,
 )
+import anomattr
 from anomattr import attribution
 from anomattr.cli import main
 
@@ -413,6 +418,33 @@ def test_each_command_restores_the_anomattr_logger(sim_dir, tmp_path):
         assert (logger.level, logger.handlers) == state
     finally:
         logger.setLevel(level)
+
+
+def test_a_refused_run_logs_its_reason(tmp_path, capsys):
+    """A run refused after its log is attached writes the reason to run.log
+    too, at ERROR, not to stderr alone."""
+    out = tmp_path / "a"
+    wide = ["attribute", "--input", str(noise_csv(tmp_path, 21)), "--interval", "100:140",
+            "--kappa", "1", "--output-dir", str(out)]
+    assert main(wide) == 2
+    assert "--max-subset" in capsys.readouterr().err
+    (line,) = [x for x in (out / "run.log").read_text().splitlines() if x.startswith("ERROR")]
+    assert line.startswith("ERROR anomattr.cli ") and "--max-subset" in line
+
+
+def test_module_run_logs_the_cli_lines(sim_dir, tmp_path):
+    """Run as ``python -m anomattr.cli``, the CLI's own lines reach run.log."""
+    out = tmp_path / "det"
+    src = str(Path(anomattr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-m", "anomattr.cli", "detect", "--input", str(sim_dir / "series.csv"),
+         "--output-dir", str(out), "--len-min", "40", "--len-max", "44", "--kappa", "2"],
+        check=True, env=env, capture_output=True,
+    )
+    log = (out / "run.log").read_text()
+    assert "INFO anomattr.cli detect input=series.csv" in log
+    assert "INFO anomattr.detector scan over" in log
 
 
 class TestBaseline:

@@ -1,6 +1,7 @@
 import logging
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -558,7 +559,8 @@ class TestBlockedScan:
 class TestScoreBound:
     """The bound U of _ScoreBound is at least the exact score of every scorable
     candidate, and without a positive definite outer-product total there is no
-    bound and nothing is pruned."""
+    bound and nothing is pruned. The bounds taken here with no floor have g
+    tightened by the Wolkowicz-Styan bound for every candidate."""
 
     @staticmethod
     def series(seed, n, d, log_scale, offset, share_missing, shape):
@@ -583,6 +585,7 @@ class TestScoreBound:
         """(U, exact score) of every scorable candidate of a few lengths, and the bound."""
         rows = detector._ScanRows(embed(series, cfg))
         scanner = PrefixScanner(rows)
+        scanner.prepare_bound()
         width = rows.width
         pairs = []
         for length in range(width + 2, min(series.n - 3, width + 40), 5):
@@ -604,7 +607,7 @@ class TestScoreBound:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(40, 200),
-        d=st.integers(1, 3),
+        d=st.integers(1, 6),
         kappa=st.integers(1, 3),
         tau=st.sampled_from([1, 2]),
         stride=st.integers(1, 3),
@@ -618,6 +621,11 @@ class TestScoreBound:
              share_missing=0.0, shape="spike")
     @example(seed=6, n=150, d=2, kappa=2, tau=2, stride=1, log_scale=-6.0, offset=1e8,
              share_missing=0.02, shape="near_constant")
+    # Width 18 with lengths long against n: g = tr(M A) is loose there.
+    @example(seed=10, n=90, d=6, kappa=3, tau=1, stride=1, log_scale=0.0, offset=0.0,
+             share_missing=0.02, shape="plant")
+    @example(seed=11, n=120, d=6, kappa=3, tau=2, stride=2, log_scale=3.0, offset=1e8,
+             share_missing=0.0, shape="near_constant")
     def test_bound_is_at_least_the_score(self, seed, n, d, kappa, tau, stride, log_scale,
                                          offset, share_missing, shape):
         series = self.series(seed, n, d, log_scale, offset, share_missing, shape)
@@ -634,6 +642,7 @@ class TestScoreBound:
         of [len_min, len_max], and the bound."""
         rows = detector._ScanRows(embed(series, cfg))
         scanner = PrefixScanner(rows, rung_base=len_min)
+        scanner.prepare_bound()
         pairs = []
         for length in range(len_min, len_max + 1):
             starts = np.arange(0, series.n - length + 1, stride)
@@ -646,14 +655,14 @@ class TestScoreBound:
             lo, hi = scanner._row_range(starts[ok], length)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                bound = scanner._nested(starts[ok], lo, hi, length, rows.bound)
+                bound = scanner._nested(starts[ok], lo, hi, length, rows.bound)[0]
             pairs.append((bound, exact[ok], kept))
         return rows.bound, pairs
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(40, 200),
-        d=st.integers(1, 3),
+        d=st.integers(1, 6),
         kappa=st.integers(1, 3),
         tau=st.sampled_from([1, 2]),
         stride=st.integers(1, 3),
@@ -676,6 +685,8 @@ class TestScoreBound:
              share_missing=0.0, shape="plant", len_min=12, span=0)  # one length
     @example(seed=9, n=90, d=2, kappa=2, tau=2, stride=1, log_scale=0.0, offset=1e3,
              share_missing=0.02, shape="noise", len_min=12, span=2)  # under one rung step
+    @example(seed=10, n=90, d=6, kappa=3, tau=1, stride=1, log_scale=0.0, offset=0.0,
+             share_missing=0.02, shape="plant", len_min=20, span=12)  # width 18
     def test_rung_bound_is_at_least_the_score(self, seed, n, d, kappa, tau, stride, log_scale,
                                               offset, share_missing, shape, len_min, span):
         """A length between rungs, bounded from the rung below at the same
@@ -699,6 +710,7 @@ class TestScoreBound:
         missing[40:52, 0] = True  # starts near it see few usable rows at the first rung
         rows = detector._ScanRows(embed(make_series(values, missing=missing), EMB))
         scanner = PrefixScanner(rows, rung_base=10)
+        scanner.prepare_bound()
         starts = np.arange(0, 140)
         rung = scanner.score_batch(starts, 10)
         few = np.isnan(rung)
@@ -712,7 +724,7 @@ class TestScoreBound:
             ok = np.isfinite(exact)
             assert (ok & few).any()
             lo, hi = scanner._row_range(starts[ok], length)
-            upper = scanner._nested(starts[ok], lo, hi, length, rows.bound)
+            upper = scanner._nested(starts[ok], lo, hi, length, rows.bound)[0]
             assert np.all(upper[(few | failed)[ok]] == np.inf)
             assert np.isfinite(upper[~(few | failed)[ok]]).all()
             # Through score_batch: any floor prunes none of them before a fit.
@@ -720,6 +732,13 @@ class TestScoreBound:
             floored = scanner.score_batch(starts, length, floor=np.inf)
             assert scanner.rung_pruned - before == int((ok & ~few & ~failed).sum())
             assert np.array_equal(np.isnan(floored), ~ok)
+        # A rung never scored at all bounds nothing either.
+        fresh = PrefixScanner(rows, rung_base=10)
+        fresh.prepare_bound()
+        exact = fresh.score_batch(starts, 11)
+        floored = fresh.score_batch(starts, 11, floor=np.inf)
+        assert fresh.rung_pruned == 0 and np.isfinite(exact).sum() > 100
+        assert np.array_equal(np.isnan(floored), np.isnan(exact))
 
     def test_a_zero_inside_meets_the_bound_within_its_margin(self):
         """Integer data whose sums are exactly zero, with a run of zero steps:
@@ -731,6 +750,7 @@ class TestScoreBound:
         rows = detector._ScanRows(embed(make_series(values), EmbeddingConfig(kappa=1, tau=1)))
         assert rows.totals[1].tolist() == [[0.0], [0.0]]
         scanner = PrefixScanner(rows)
+        scanner.prepare_bound()
         tight = 0
         for length in range(4, 40):
             starts = np.arange(100, 140 - length + 1)
@@ -740,6 +760,95 @@ class TestScoreBound:
             assert np.all(upper >= exact)
             tight += int(np.sum(upper - exact < 1e-5 * exact))
         assert tight > 500
+
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 12, 18])
+    def test_eigen_bound_is_at_least_lambda_max(self, width):
+        """The Wolkowicz-Styan bound of _ScoreBound.eigen is at least
+        ``np.linalg.eigvalsh``'s largest eigenvalue of T2^-1/2 A T2^-1/2,
+        A = I2 + s_o s_o' / n_o, on random pairs of a total T2 of rows,
+        centered or not, and an inside of them, planted or not, with column scales
+        spread up to 1e+-2. Both sides factor T2, so they agree to about
+        1e-16 cond(T2). Where A = c T2, with s_o = 0, every eigenvalue is c
+        and the bound is tight but for its round-off slack, sqrt((m - 1)
+        1e-12) c."""
+        rng = np.random.default_rng(width)
+        lower = np.tril_indices(width)
+        for trial in range(90):
+            n = int(rng.integers(width + 5, 400))
+            x = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-2, 2, width)
+            x = x @ (np.eye(width) + 0.5 * rng.standard_normal((width, width)))
+            k = int(rng.integers(1, n - 2))
+            a = int(rng.integers(0, n - k + 1))
+            if trial % 3 == 0:
+                x[a : a + k] += 3 * rng.standard_normal(width) * x.std(axis=0)
+            if trial % 2:  # s_T = 0, as for the scan's centered rows
+                x -= x.mean(axis=0)
+            t2 = x.T @ x
+            bound = detector._ScoreBound(np.array([n]), x.sum(axis=0)[:, None],
+                                         t2[lower][:, None], width)
+            tol = 1e-14 * bound.eigenvalues[-1] / bound.eigenvalues[0]
+            inside = x[a : a + k]
+            i2, s_in, n_out = inside.T @ inside, inside.sum(axis=0), float(n - k)
+            if trial % 10 == 9:  # s_o = 0 and A = c T2
+                c = k / n
+                i2, s_in = c * t2, x.sum(axis=0)
+            s_out = x.sum(axis=0) - s_in
+            lam = oracles.largest_relative_eigenvalue(i2 + np.outer(s_out, s_out) / n_out, t2)
+            whitened = (bound.whitening @ i2 @ bound.whitening)[lower][:, None]
+            eigen = bound.eigen(np.array([n_out]), s_in[:, None], whitened)[0]
+            assert eigen >= lam - tol, (trial, eigen, lam, tol)
+            if trial % 10 == 9 and width > 1:  # tight but for the slack, which shows
+                assert lam * (1 + 1e-7) < eigen <= c * (1 + 1e-5) + tol
+            else:
+                assert lam <= 1 + tol  # A <= T2 where the inside is part of the total
+
+    @pytest.mark.parametrize("path", ["inside", "nested"])
+    def test_eigen_bound_tightens_a_wide_scan(self, monkeypatch, path):
+        """At width 18, with lengths long against the series, the bound with g
+        tightened is below the bound through g = tr(M A) for most candidates,
+        and still at least every exact score, whether the inside is fitted
+        or bounded through the rung below."""
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal((400, 6))
+        values[200:260, 2] += 2.0
+        rows = detector._ScanRows(embed(make_series(values), EMB))
+        assert rows.width == 18
+        scanner = PrefixScanner(rows, rung_base=30)
+        scanner.prepare_bound()
+        tighter = total = 0
+        for length in (30, 31, 32) if path == "nested" else (30, 60, 90):
+            starts = np.arange(0, 400 - length + 1)
+            exact = scanner.score_batch(starts, length)
+            if length == 30 and path == "nested":
+                continue  # the rung
+            lo, hi = scanner._row_range(starts, length)
+
+            def bounds():
+                if path == "nested":
+                    return scanner._nested(starts, lo, hi, length, rows.bound)[0]
+                return scanner._inside(lo, hi, length, rows.bound)[2]
+
+            tight = bounds()
+            with monkeypatch.context() as patch:  # g = tr(M A) alone
+                patch.setattr(rows.bound, "eigen", lambda n_out, *_: np.full(n_out.shape, np.inf))
+                loose = bounds()
+            assert np.all(tight >= exact) and np.all(tight <= loose)
+            tighter += int(np.sum(tight < loose))
+            total += len(starts)
+        assert tighter > 0.9 * total
+
+    @pytest.mark.parametrize("width, rows", [(1, 5), (3, 1), (12, 300), (18, 257)])
+    def test_outer_prefix_equals_the_gather(self, width, rows):
+        """The packed prefix built row by row of the triangle has the same bits
+        as the cumulative sum of the gathered products, on a strided view
+        with zeroed rows as the scan passes it."""
+        rng = np.random.default_rng(width)
+        centered = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3, width)
+        centered[rng.random(rows) < 0.1] = 0.0
+        x = centered.T
+        assert not x.flags.c_contiguous or rows == 1 or width == 1
+        assert np.array_equal(detector._outer_prefix(x), oracles.outer_prefix_by_gather(x))
 
 
 class TestFloor:
@@ -842,7 +951,7 @@ class TestPruning:
         return dets, (*map(int, counts), line)
 
     @given(
-        block=st.integers(16, 200),
+        block=st.one_of(st.integers(16, 200), st.just(4096)),  # several blocks, or one
         top_k=st.integers(1, 4),
         stride=st.sampled_from([1, 3]),
         tau=st.sampled_from([1, 2]),
@@ -851,6 +960,7 @@ class TestPruning:
     @settings(max_examples=15, deadline=None)
     @example(block=16, top_k=2, stride=1, tau=1, len_max=12)  # one rung, nothing between
     @example(block=16, top_k=2, stride=3, tau=2, len_max=13)  # shorter than one rung step
+    @example(block=4096, top_k=2, stride=1, tau=1, len_max=30)  # one block
     def test_pruned_detect_equals_unpruned(self, series, block, top_k, stride, tau, len_max):
         cfg = ScanConfig(len_min=12, len_max=len_max, top_k=top_k, stride=stride,
                          embedding=EmbeddingConfig(kappa=2, tau=tau))
@@ -866,7 +976,7 @@ class TestPruning:
         assert [d.interval for d in serial] == [d.interval for d in unpruned]
         for got, want in zip(serial, unpruned):
             assert got.score == pytest.approx(want.score, rel=1e-13)
-        if block <= 100 and len_max == 30:
+        if (block <= 100 or block == 4096) and len_max == 30:
             assert counted[1] + counted[2] > 0
         if len_max == 12:  # every length is a rung
             assert counted[1] == 0
@@ -889,32 +999,95 @@ class TestPruning:
         assert counted[:3] == counted_threaded[:3]
         assert counted[1] > 0 and counted[2] > 0
 
-    def test_first_block_prunes_past_its_rungs(self, series, monkeypatch):
-        """Each block scores its rungs, then the lengths between them; the floor
-        rises between phases, first right after the first block's rungs, so
-        the first block already prunes the lengths between its rungs."""
-        monkeypatch.setattr(detector, "SCAN_BLOCK", 64)
-        real = PrefixScanner.score_batch
-        calls = []
+    @staticmethod
+    def plan(series, cfg, monkeypatch, block, threads):
+        """detect's detections, and per block of ``block`` starts its events in
+        order: (length, floor) for each score_batch call, and "bound" where
+        its scanner built its bound's prefixes."""
+        monkeypatch.setattr(detector, "SCAN_BLOCK", block)
+        score_batch, prepare = PrefixScanner.score_batch, PrefixScanner.prepare_bound
+        events, main = {}, threading.current_thread()
 
         def recording(scanner, starts, length, **kwargs):
-            calls.append((int(starts[0]) // 64, length, kwargs["floor"]))
-            return real(scanner, starts, length, **kwargs)
+            events.setdefault(int(starts[0]) // block, []).append((length, kwargs["floor"]))
+            return score_batch(scanner, starts, length, **kwargs)
+
+        def preparing(scanner):
+            assert threading.current_thread() is main  # never in a pool worker
+            if scanner.whitened is None:
+                events.setdefault(scanner.lead // block, []).append("bound")
+            prepare(scanner)
 
         monkeypatch.setattr(PrefixScanner, "score_batch", recording)
+        monkeypatch.setattr(PrefixScanner, "prepare_bound", preparing)
+        dets = detect(series, cfg, threads=threads)
+        return dets, [events[b] for b in sorted(events)]
+
+    @staticmethod
+    def phase_of(length):
+        """The phase of a length at len_min 12: 0 for len_min, 1 for the
+        other rungs, 2 for the lengths between."""
+        return 0 if length == 12 else 2 if (length - 12) % detector.RUNG_STEP else 1
+
+    @staticmethod
+    def check_floors(blocks, phase_of):
+        """The floor is fixed within a phase, -inf only in the first block's
+        opening phase, and never falls; each block builds its bound's
+        prefixes once, right before its first call against a floor."""
+        walk = {}
+        for b, events in enumerate(blocks):
+            against = [i for i, event in enumerate(events) if event != "bound" and
+                       event[1] > -np.inf]
+            if against:
+                assert events.index("bound") == against[0] - 1 and events.count("bound") == 1
+            else:
+                assert "bound" not in events
+            for length, floor in (event for event in events if event != "bound"):
+                walk.setdefault((b, phase_of(length)), set()).add(floor)
+        assert all(len(floors) == 1 for floors in walk.values())
+        floors = [walk[phase].pop() for phase in sorted(walk)]
+        assert floors[0] == -np.inf < floors[1] and floors == sorted(floors)
+
+    def test_first_block_prunes_past_its_rungs(self, series, monkeypatch):
+        """Each block scores len_min alone, then its other rungs, then the
+        lengths between them; the floor rises between phases, first right
+        after the first block's opening phase, which alone is unpruned."""
         cfg = ScanConfig(len_min=12, len_max=30, top_k=2, embedding=EmbeddingConfig(kappa=2))
-        detect(series, cfg)
-        rungs = set(range(12, 31, detector.RUNG_STEP))
-        phases = [(block, length in rungs) for block, length, _ in calls]
-        # Rungs first, then the lengths between, block after block.
-        assert phases == sorted(phases, key=lambda phase: (phase[0], not phase[1]))
-        floors = {}
-        for block, length, floor in calls:
-            floors.setdefault((block, length in rungs), set()).add(floor)
-        assert all(len(phase) == 1 for phase in floors.values())  # fixed within a phase
-        walk = [floors[phase].pop() for phase in dict.fromkeys(phases)]
-        assert walk[0] == -np.inf < walk[1]  # the first block's rungs, then a floor
-        assert walk == sorted(walk)
+        _, blocks = self.plan(series, cfg, monkeypatch, 64, threads=2)
+        assert len(blocks) == 7
+        for events in blocks:
+            phases = [self.phase_of(event[0]) for event in events if event != "bound"]
+            assert phases == sorted(phases) and set(phases) == {0, 1, 2}
+        self.check_floors(blocks, self.phase_of)
+
+    @pytest.mark.parametrize("block", [64, 4096])
+    @pytest.mark.parametrize(
+        "len_max, want",
+        [
+            (12, [12]),  # one length
+            (13, [12, 13]),  # two lengths
+            (14, [12, 13, 14]),  # no rung past len_min: RUNG_STEP is 3
+            (15, [12, 15, 13, 14]),
+        ],
+    )
+    def test_phase_plan_edges(self, series, monkeypatch, block, len_max, want):
+        """The phase plan of a short length range, in one block or several:
+        len_min, the other rungs, the lengths between, leaving out an empty
+        phase; and the unpruned scan's detections."""
+        cfg = ScanConfig(len_min=12, len_max=len_max, top_k=2, embedding=EmbeddingConfig(kappa=2))
+        dets, blocks = self.plan(series, cfg, monkeypatch, block, threads=1)
+        assert len(blocks) == (1 if block == 4096 else 7)
+        for events in blocks:
+            assert [event[0] for event in events if event != "bound"] == want
+        if len(blocks) > 1 or len_max > 12:  # a floor only after a phase
+            self.check_floors(blocks, self.phase_of)
+        else:  # one block of one length: no floor, no bound
+            assert blocks == [[(12, -np.inf)]]
+        monkeypatch.setattr(detector, "_floor", lambda *args: -np.inf)
+        unpruned = detect(series, cfg)
+        assert [d.interval for d in dets] == [d.interval for d in unpruned]
+        for got, want_det in zip(dets, unpruned):
+            assert got.score == pytest.approx(want_det.score, rel=1e-12)
 
     def test_a_candidate_at_the_floor_is_kept(self, series, monkeypatch):
         """A later candidate that scores exactly the floor can be a detection.
@@ -928,18 +1101,22 @@ class TestPruning:
         monkeypatch.setattr(detector, "_floor", lambda *args: last.score)
         assert detect(series, cfg) == want
 
-    def test_one_block_builds_no_bound(self, series, monkeypatch):
-        """A scan of one block scores every candidate in one stack per length
-        and neither builds the bound nor walks for a floor."""
-
-        def refused(*args):
-            raise AssertionError("no floor for a scan of one block")
-
-        monkeypatch.setattr(detector, "_floor", refused)
-        monkeypatch.setattr(detector, "_ScoreBound", refused)
+    def test_one_block_prunes(self, series, monkeypatch):
+        """A scan of one block runs the phase plan too: it prunes, by both
+        bounds, and returns the unpruned scan's detections, at any thread
+        count."""
         cfg = ScanConfig(len_min=15, len_max=40, top_k=3, embedding=EMB)
         assert series.n < detector.SCAN_BLOCK
-        detect(series, cfg, threads=2)
+        serial, counted = self.run(series, cfg, 1)
+        threaded, counted_threaded = self.run(series, cfg, 2)
+        assert serial == threaded and counted == counted_threaded
+        assert counted[1] > 0 and counted[2] > 0
+        monkeypatch.setattr(detector, "_floor", lambda *args: -np.inf)
+        unpruned, counted_unpruned = self.run(series, cfg, 2)
+        assert sum(counted[:3]) == counted_unpruned[0]
+        assert [d.interval for d in serial] == [d.interval for d in unpruned]
+        for got, want in zip(serial, unpruned):
+            assert got.score == pytest.approx(want.score, rel=1e-12)
 
 
 class TestRowCountBoundary:
@@ -1164,7 +1341,7 @@ class TestDetect:
 
         monkeypatch.setattr(detector, "_select", recording)
         dets = detect(series, cfg)
-        scores, starts, lens = seen[0]
+        scores, starts, lens = seen[-1]  # the final walk; those before set floors
         window = np.lexsort((lens, starts, -scores))[: detector.SELECT_WINDOW * cfg.top_k]
         first = dets[0].interval
         assert all(first.intersects(Interval(int(starts[i]), int(starts[i] + lens[i])))
