@@ -35,20 +35,21 @@ lengths len_min + k ``RUNG_STEP``, then the lengths between them; a phase
 with no length is left out. After each phase that another follows, a floor
 is set from the candidates scored so far (:func:`_floor`): no candidate
 that scores below it can change the detections. Only the first block's
-opening phase is scored in full; from then on a candidate is bounded from
-above (:class:`_ScoreBound`) before its outside is fitted. A rung's inside
-is fitted and factored, and its bound follows from that factor and the
-whole-series totals. A length between rungs is first bounded from the
-factor of the rung just below it at the same start, since nested insides
-bound each other's log-determinant, at O(width^2) per candidate and with
-no fit; only a candidate that reaches the floor has its own inside fitted
-and its exact bound taken. Either bound goes through g = tr(M A), a loose
-bound on an eigenvalue when the width is large against the rows; only a
-candidate whose bound reaches the floor through it has g tightened by the
+opening phase is scored in full, both sides of its candidates as one
+stack. From then on every length takes one path: a candidate is bounded
+from above (:class:`_ScoreBound`) before each fit, the terms of its bound
+read from the block's prefixes. A length between rungs is first bounded
+from the factor of the rung just below it at the same start, since nested
+insides bound each other's log-determinant, at O(width^2) per candidate
+and with no fit; a rung, or a candidate that reaches the floor through its
+rung, has its own inside fitted and factored and its exact bound taken.
+Every bound goes through g = tr(M A), a loose bound on an eigenvalue when
+the width is large against the rows; where a candidate's bound first
+reaches the floor, g is tightened, once per candidate, by the
 Wolkowicz-Styan bound, from a prefix of whitened outer products that each
-block builds once it has a floor, and is bounded again. Only a candidate
-whose exact bound reaches the floor has its outside fitted and its
-divergence taken; the others score -inf. The floor moves only between
+block builds once it has a floor, and the bound is taken again. Only a
+candidate whose exact bound reaches the floor has its outside fitted and
+its divergence taken; the others score -inf. The floor moves only between
 phases, so the candidates scored do not depend on the thread count. A
 scan whose outer-product total is not positive definite has no bound and
 scores every candidate in one phase.
@@ -67,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ScoringError
-from .gaussian import JITTER_FLOOR, interval_score, jittered_cholesky, kl_from_factors
+from .gaussian import JITTER_FLOOR, interval_score, jitter, jittered_cholesky, kl_from_factors
 from .series import (
     Embedding,
     EmbeddingConfig,
@@ -422,7 +423,8 @@ class _ScoreBound:
         ln|Sp_j(L)| >= ln|Sp_j(L0)| + m ln(n0 / n),
 
     which, in place of ln|Sp_j(L)|, still gives an upper bound U
-    (:meth:`nested`). It is +inf where L0's factor is NaN or was not kept.
+    (``PrefixScanner._below``). It is +inf where L0's factor is NaN or was
+    not kept.
     """
 
     def __init__(self, count, total_sum, total_outer, width: int):
@@ -447,8 +449,8 @@ class _ScoreBound:
         self.total_form = float(total_sum[:, 0] @ self.scaled_total)  # s_T' M s_T
         self.trace_precision = float(np.trace(self.precision))
         # n_o <= n_T: one sum of logs bounds every candidate's.
-        jitter = JITTER_FLOOR * max(self.count, float(np.trace(t2)) / width)
-        self.log_eigen = float(np.log(self.eigenvalues + jitter).sum())
+        ceiling = JITTER_FLOOR * max(self.count, float(np.trace(t2)) / width)  # >= n_o eps_q
+        self.log_eigen = float(np.log(self.eigenvalues + ceiling).sum())
 
     def head(self, counts, sums, traces, scaled) -> _Head:
         """The :class:`_Head` of N insides, with g = tr(M A).
@@ -471,11 +473,10 @@ class _ScoreBound:
         g = energy + outside / n_out
         spread = (energy - inner / n_in) / n_in  # tr(M Sp)
         trace = (trace_in - np.einsum("in,in->n", sums, sums) / n_in) / n_in  # tr Sp
-        jitter = np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / m)  # eps_p
         # Delta' M Delta, Delta = s_o / n_o - s_i / n_i, with s_o' M s_i = cross - inner.
         maha = outside / n_out**2 - 2.0 * (cross - inner) / (n_out * n_in) + inner / n_in**2
         lnq = self.log_eigen - m * np.log(n_out)
-        return _Head(g, n_out, spread + jitter * self.trace_precision + maha, lnq - m)
+        return _Head(g, n_out, spread + jitter(trace, m) * self.trace_precision + maha, lnq - m)
 
     def eigen(self, n_out, sums, whitened):
         """The Wolkowicz-Styan bound on lambda_max(W A W) of N insides.
@@ -503,14 +504,6 @@ class _ScoreBound:
         bound = 2.0 * length * np.maximum(head - half_logdet, 0.0) * (1.0 + rel) + tol
         return np.where(np.isnan(bound), np.inf, bound)
 
-    def nested(self, head, rung_half_logdet, rung_counts, counts, length: int):
-        """Score bounds U of N insides of ``counts`` usable rows from their
-        :meth:`head` and the ln|Sp_j| / 2 of a nested inside of
-        ``rung_counts`` rows, by the nesting lemma; +inf where that is NaN."""
-        with np.errstate(divide="ignore"):  # ln 0 where the rung kept no factor
-            shrink = 0.5 * self.width * np.log(rung_counts / counts)
-        return self.bounds(head, rung_half_logdet + shrink, length)
-
 
 def _half_logdet(chol):
     """ln|S| / 2 of each covariance of a stack from its factor (m, m, N)."""
@@ -534,12 +527,13 @@ class PrefixScanner:
 
     With ``rung_base`` (the scan's len_min) the lengths rung_base +
     k ``RUNG_STEP`` are rungs: :meth:`score_batch` keeps each rung inside's
-    ln|Sp_j| / 2 per start, and bounds every other length from the rung
-    just below it at the same start, before any fit. Its terms come from
-    the sums and from ``traces`` (2, rows + 1), the bound's packed weights
-    times ``outer_sums``, so the outer-product sums are not gathered
-    (:meth:`_ScoreBound.head`). Scoring against a floor also reads
-    ``whitened``, the packed prefix of the whitened rows' outer products;
+    ln|Sp_j| / 2 per start, and, against a floor, bounds every other length
+    from the rung just below it at the same start before any fit
+    (:meth:`_below`). Every bound's terms come from the sums and from
+    ``traces`` (2, rows + 1), the bound's packed weights times
+    ``outer_sums``, so no outer-product sum is gathered for a bound
+    (:meth:`_ScoreBound.head`), and its g is tightened from ``whitened``,
+    the packed prefix of the whitened rows' outer products (:meth:`_bounds`);
     both are built by :meth:`prepare_bound`, which must run first.
     """
 
@@ -590,15 +584,12 @@ class PrefixScanner:
 
         Unscorable: at most ``width`` usable rows inside, fewer than 2
         outside, or a pair that :func:`_scores` refuses. Every interval's
-        rows in the series must lie within the prefix's rows. With no
-        ``floor`` every candidate is scored, both sides as one stack. With
-        one, the insides are fitted first, and only a candidate whose
-        :class:`_ScoreBound` reaches the floor has its outside fitted and
-        its divergence taken (:meth:`_pruned`); the others score -inf. A
-        length between rungs first bounds each candidate from the rung kept
-        below it (:meth:`_nested`), and fits only the insides that reach
-        the floor; those that do not are counted in ``rung_pruned``. A
-        floor needs :meth:`prepare_bound` first.
+        rows in the series must lie within the prefix's rows. There are two
+        paths. With no ``floor``, or no bound, every candidate is scored,
+        both sides as one stack. With one, a candidate is bounded before
+        each fit, and only one whose :class:`_ScoreBound` reaches the floor
+        has its outside fitted and its divergence taken (:meth:`_pruned`);
+        the others score -inf. A floor needs :meth:`prepare_bound` first.
         """
         lo, hi = self._row_range(starts, length)
         cnt_in = self.counts[hi] - self.counts[lo]
@@ -629,118 +620,115 @@ class PrefixScanner:
             )
             half_logdet = _half_logdet(chol[..., : len(lo)]) if rung else None
             out[ok] = _scores(mean, chol, length)
-        elif self.whitened is None:
-            raise RuntimeError("scoring against a floor needs prepare_bound() first")
-        elif rung or self.rung_base is None:
-            out[ok], half_logdet = self._pruned(lo, hi, length, floor, bound)
-        else:  # between rungs: only what reaches the floor through its rung is fitted
-            bounds, head = self._nested(starts, lo, hi, length, bound, floor)
-            reach = bounds >= floor
-            with self._lock:
-                self.rung_pruned += reach.size - int(np.count_nonzero(reach))
-            scores = np.full(reach.shape, -np.inf)
-            if reach.any():
-                head = None if head is None else head.take(reach)
-                scores[reach] = self._pruned(lo[reach], hi[reach], length, floor, bound, head)[0]
-            out[ok] = scores
+        else:
+            out[ok], half_logdet = self._pruned(starts, lo, hi, length, floor, bound)
         if rung:
             self.rungs[length] = starts, half_logdet
         return out
 
-    def _nested(self, starts, lo, hi, length: int, bound: _ScoreBound, floor: float = -np.inf):
-        """Score bounds of the insides [s, s + length) of ``starts``, with prefix
-        indices ``lo`` and ``hi``, from the rung kept just below ``length``
-        at each start (:meth:`_ScoreBound.nested`), and their :class:`_Head`.
+    def _pruned(self, starts, lo, hi, length: int, floor: float, bound: _ScoreBound):
+        """Scores of the scorable candidates [s, s + length) of ``starts``,
+        with prefix indices ``lo`` and ``hi``, whose bound reaches ``floor``,
+        -inf for the others, and the ln|Sp_j| / 2 of the insides fitted.
 
-        The bounds are +inf where no rung was kept, and the head None if
-        none was kept at any start. Where the bound through g = tr(M A)
-        reaches ``floor``, g is tightened (:meth:`_tighten`) and the bound
-        taken again.
+        One sequence for every length. The insides' sums and ``traces`` are
+        gathered once and give their :class:`_Head`. Between rungs, a
+        candidate whose bound through the rung below (:meth:`_below`) cannot
+        reach the floor is pruned with no fit and counted in
+        ``rung_pruned``. The rest have their insides fitted and their exact
+        bound taken, and only those that reach the floor have their outsides
+        fitted, in their own, smaller stack: the totals minus the sums
+        already gathered and minus the outer-product sums, which are
+        gathered again. Every bound is taken by :meth:`_bounds`, which
+        tightens a candidate's g at most once.
         """
-        rung = length - (length - self.rung_base) % RUNG_STEP
-        if rung not in self.rungs:
-            return np.full(starts.shape, np.inf), None
-        rung_starts, rung_half = self.rungs[rung]
+        if self.whitened is None:
+            raise RuntimeError("scoring against a floor needs prepare_bound() first")
+        counts = self.counts[hi] - self.counts[lo]
+        runs = _runs(lo, hi)
+        sums = self._gather(self.sums, None, runs)
+        head = bound.head(
+            counts, sums, self._gather(self.traces, None, runs), bound.precision @ sums
+        )
+        fresh = np.ones(lo.shape, dtype=bool)  # g not yet tightened
+        n = len(lo)
+        fitted = slice(None)
+        below = self._below(starts, lo, counts, length)
+        if below is not None:
+            fitted = self._bounds(head, below, length, floor, fresh, lo, hi, sums) >= floor
+            with self._lock:
+                self.rung_pruned += fitted.size - int(np.count_nonzero(fitted))
+            if not fitted.any():
+                return np.full(n, -np.inf), None
+            lo, hi, counts, sums, fresh = (
+                lo[fitted], hi[fitted], counts[fitted], sums[:, fitted], fresh[fitted]
+            )
+            head = head.take(fitted)
+        mean_p, chol_p = _fit(counts, sums, self._gather(self.outer_sums, None, _runs(lo, hi)))
+        half_logdet = _half_logdet(chol_p)
+        reach = self._bounds(head, half_logdet, length, floor, fresh, lo, hi, sums) >= floor
+        kept = np.full(reach.shape, -np.inf)
+        if reach.any():
+            count, total_sum, total_outer = self.whole.totals
+            # The insides' outer-product sums are gathered again rather than
+            # kept through the exact bound, where they would sit beside the
+            # whitened gather; the outsides' are then made in place.
+            outer = self._gather(self.outer_sums, None, _runs(lo[reach], hi[reach]))
+            mean_q, chol_q = _fit(
+                count - counts[reach],
+                total_sum - sums[:, reach],
+                np.subtract(total_outer, outer, out=outer),
+            )
+            kept[reach] = _pair_scores(mean_p[:, reach], chol_p[..., reach], mean_q, chol_q, length)
+        # Made last: allocated at the start of the call, it moved where
+        # glibc placed the call's large temporaries, and the benchmark's
+        # scan_long read a 2-5% higher peak RSS.
+        scores = np.full(n, -np.inf)
+        scores[fitted] = kept
+        return scores, half_logdet
+
+    def _below(self, starts, lo, counts, length: int):
+        """Lower bounds on ln|Sp_j| / 2 of the insides [s, s + length) of
+        ``starts``, with first prefix index ``lo`` and ``counts`` usable rows,
+        through the rung kept just below ``length`` at each start, by the
+        nesting lemma (:class:`_ScoreBound`); NaN where that rung kept no
+        factor, and None at a rung itself or with no rungs.
+        """
+        step = 0 if self.rung_base is None else (length - self.rung_base) % RUNG_STEP
+        if not step:
+            return None
+        if length - step not in self.rungs:
+            return np.full(starts.shape, np.nan)
+        rung_starts, rung_half = self.rungs[length - step]
         # The rung's scorable starts, ascending as detect's are; a longer
         # length's starts are among the rung's, but a start may be scorable
         # at the longer length only.
         at = np.minimum(np.searchsorted(rung_starts, starts), len(rung_starts) - 1)
         half = np.where(rung_starts[at] == starts, rung_half[at], np.nan)
-        counts = self.counts[hi] - self.counts[lo]
-        rung_counts = self.counts[self._row_range(starts, rung)[1]] - self.counts[lo]
-        runs = _runs(lo, hi)
-        sums = self._gather(self.sums, None, runs)
-        traces = self._gather(self.traces, None, runs)
-        head = bound.head(counts, sums, traces, bound.precision @ sums)
-        bounds = bound.nested(head.value(), half, rung_counts, counts, length)
-        reach = bounds >= floor
-        if self._tighten(head, reach, lo, hi, sums, bound):
-            bounds[reach] = bound.nested(
-                head.take(reach).value(), half[reach], rung_counts[reach], counts[reach], length
-            )
-        return bounds, head
+        rung_counts = self.counts[self._row_range(starts, length - step)[1]] - self.counts[lo]
+        with np.errstate(divide="ignore"):  # ln 0 where the rung kept no factor
+            return half + 0.5 * self.width * np.log(rung_counts / counts)
 
-    def _tighten(self, head: _Head, keep, lo, hi, sums, bound: _ScoreBound) -> bool:
-        """Lower g of the insides where ``keep`` to their eigenvalue bound
-        (:meth:`_ScoreBound.eigen`) where that is lower, in place; False if
-        ``keep`` holds none. ``sums`` are the insides' sums."""
-        if not keep.any():
-            return False
-        whitened = self._gather(self.whitened, None, _runs(lo[keep], hi[keep]))
-        eigen = bound.eigen(head.n_out[keep], sums[:, keep], whitened)
-        head.g[keep] = np.fmin(head.g[keep], eigen)  # a NaN bound leaves g
-        return True
+    def _bounds(self, head: _Head, half_logdet, length: int, floor: float, fresh, lo, hi, sums):
+        """Score bounds of N insides from their :class:`_Head` and ln|Sp_j| / 2,
+        or a lower bound on it (:meth:`_ScoreBound.bounds`).
 
-    def _inside(self, lo: np.ndarray, hi: np.ndarray, length: int, bound: _ScoreBound,
-                floor: float = -np.inf, head: _Head | None = None):
-        """Fitted means and factors of the insides with prefix indices ``lo``,
-        ``hi``, their score bounds, and their ln|Sp_j| / 2.
-
-        Without their ``head``, it is taken here, and where the bound
-        through g = tr(M A) reaches ``floor``, g is tightened
-        (:meth:`_tighten`) and the bound taken again.
+        Where the bound through the head's g reaches ``floor`` and g is
+        ``fresh`` (N,), still tr(M A), g is lowered in place to the
+        eigenvalue bound (:meth:`_ScoreBound.eigen`) where that is lower,
+        ``fresh`` is cleared and the bound taken again. The insides have
+        prefix indices ``lo`` and ``hi`` and the sums ``sums``.
         """
-        counts = self.counts[hi] - self.counts[lo]
-        runs = _runs(lo, hi)
-        sums = self._gather(self.sums, None, runs)
-        outer = self._gather(self.outer_sums, None, runs)
-        tighten = head is None
-        if tighten:
-            head = bound.head(counts, sums, bound.weights @ outer, bound.precision @ sums)
-        mean, chol = _fit(counts, sums, outer)
-        half_logdet = _half_logdet(chol)
+        bound = self.whole.bound
         bounds = bound.bounds(head.value(), half_logdet, length)
-        if tighten:
-            reach = bounds >= floor
-            if self._tighten(head, reach, lo, hi, sums, bound):
-                bounds[reach] = bound.bounds(head.take(reach).value(), half_logdet[reach], length)
-        return mean, chol, bounds, half_logdet
-
-    def _pruned(self, lo, hi, length: int, floor: float, bound: _ScoreBound,
-                head: _Head | None = None):
-        """Scores of scorable candidates whose bound reaches ``floor``, -inf for
-        the others, and the ln|Sp_j| / 2 of every inside; ``head`` as in
-        :meth:`_inside`.
-
-        A candidate's outside is fitted from the same sums as in the stack
-        of both sides, but in its own, smaller stack.
-        """
-        mean_p, chol_p, bounds, half_logdet = self._inside(lo, hi, length, bound, floor, head)
-        reach = bounds >= floor
-        scores = np.full(lo.shape, -np.inf)
-        if reach.any():
-            lo, hi = lo[reach], hi[reach]
-            count, total_sum, total_outer = self.whole.totals
-            runs = _runs(lo, hi)
-            mean_q, chol_q = _fit(
-                count - (self.counts[hi] - self.counts[lo]),
-                total_sum - self._gather(self.sums, None, runs),
-                total_outer - self._gather(self.outer_sums, None, runs),
-            )
-            scores[reach] = _pair_scores(
-                mean_p[:, reach], chol_p[..., reach], mean_q, chol_q, length
-            )
-        return scores, half_logdet
+        tighten = fresh & (bounds >= floor)
+        if tighten.any():
+            whitened = self._gather(self.whitened, None, _runs(lo[tighten], hi[tighten]))
+            eigen = bound.eigen(head.n_out[tighten], sums[:, tighten], whitened)
+            head.g[tighten] = np.fmin(head.g[tighten], eigen)  # a NaN bound leaves g
+            fresh[tighten] = False
+            bounds[tighten] = bound.bounds(head.take(tighten).value(), half_logdet[tighten], length)
+        return bounds
 
     @staticmethod
     def _gather(prefix: np.ndarray, total: np.ndarray | None, runs):

@@ -43,13 +43,18 @@ from .errors import NumericalError
 JITTER_FLOOR = 1e-9
 
 
+def jitter(trace, m: int):
+    """The jitter rule: max(floor, floor * trace / m) for covariances of
+    width ``m`` and trace ``trace``, one or an array of them."""
+    return np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / m)
+
+
 def jitter_epsilon(cov: np.ndarray):
     """Scale-aware jitter: max(floor, floor * mean diagonal magnitude), per matrix of a stack.
 
-    ``cov`` is one (m, m) matrix or an (m, m, N) stack.
+    ``cov`` is one (m, m) matrix or an (m, m, N) stack (:func:`jitter`).
     """
-    trace = np.trace(cov, axis1=0, axis2=1)
-    return np.maximum(JITTER_FLOOR, JITTER_FLOOR * trace / cov.shape[0])
+    return jitter(np.trace(cov, axis1=0, axis2=1), cov.shape[0])
 
 
 def jittered_cholesky(covs: np.ndarray) -> np.ndarray:

@@ -296,6 +296,13 @@ def load_csv(path) -> MultivariateSeries:
     kinds = {type(t) for t in times}
     if len(kinds) > 1:
         raise ParseError("time column mixes integer and timestamp values")
+    # Naive and offset-aware timestamps do not compare.
+    aware = [isinstance(t, datetime.datetime) and t.utcoffset() is not None for t in times]
+    if len(set(aware)) > 1:
+        raise ParseError(
+            f"line {aware.index(not aware[0]) + 2}: time column mixes timestamps with and "
+            f"without a UTC offset"
+        )
     for i in range(1, len(times)):
         if not times[i - 1] < times[i]:
             raise ParseError(f"line {i + 2}: non-monotonic time index")

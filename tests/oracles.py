@@ -5,7 +5,8 @@ matrix at a time through LAPACK, divergences via explicit inverses or sampling, 
 covariances and row counts via plain loops over rows, suppression and the
 scan's floor over a full sort of the candidates, and disjoint intervals by
 placing them one by one, prefix sums by gathering the triangle's factors,
-and eigenvalue bounds against ``np.linalg.eigvalsh``.
+eigenvalue bounds against ``np.linalg.eigvalsh``, and the score bound's
+terms through explicit inverses.
 """
 
 from __future__ import annotations
@@ -221,3 +222,26 @@ def largest_relative_eigenvalue(a: np.ndarray, t2: np.ndarray) -> float:
     chol = np.linalg.cholesky(t2)
     inner = np.linalg.solve(chol, np.linalg.solve(chol, a).T)
     return float(np.linalg.eigvalsh((inner + inner.T) / 2)[-1])
+
+
+def score_bound_head(rows, inside, jitter) -> tuple[float, float, float]:
+    """g, load and rest of the scan's score bound for one inside of the rows
+    (n, m), through explicit matrices. ``inside`` masks the inside's rows;
+    its Sp is fitted by :func:`fit_by_loops` and jittered by ``jitter(Sp)``.
+    M = T2^-1 of the rows' outer-product total T2, A = I2 + s_o s_o' / n_o,
+    Delta = s_o / n_o - mu_p, and the outside's log-determinant bound sums
+    ln(lambda_k + 1e-9 max(n, tr T2 / m)) over T2's eigenvalues."""
+    n, m = rows.shape
+    t2 = rows.T @ rows
+    precision = np.linalg.inv(t2)
+    part = rows[inside]
+    n_out = n - len(part)
+    s_out = rows.sum(axis=0) - part.sum(axis=0)
+    g = np.trace(precision @ (part.T @ part + np.outer(s_out, s_out) / n_out))
+    mean, cov = fit_by_loops(part)
+    jittered = cov + jitter(cov) * np.eye(m)
+    delta = s_out / n_out - mean
+    load = np.trace(precision @ jittered) + delta @ precision @ delta
+    ceiling = 1e-9 * max(n, np.trace(t2) / m)
+    lnq = np.linalg.slogdet(t2 + ceiling * np.eye(m))[1] - m * np.log(n_out)
+    return float(g), float(load), float(lnq - m)

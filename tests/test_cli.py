@@ -149,6 +149,15 @@ class TestDetect:
         assert "rank" in capsys.readouterr().out
         assert (out / "run.log").exists()
 
+    def test_mixed_naive_and_aware_timestamps_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "mixed.csv"
+        path.write_text("time,a\n2020-01-01T00:00:00,1\n2020-01-02T00:00:00+00:00,2\n")
+        code = main(["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+                     "--len-min", "1", "--len-max", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: line 3: " in err and "Traceback" not in err
+
     def test_missing_input_exits_2_naming_path(self, tmp_path, capsys):
         code = main(
             ["detect", "--input", str(tmp_path / "ghost.csv"), "--output-dir", str(tmp_path),

@@ -556,11 +556,32 @@ class TestBlockedScan:
             assert got.score == pytest.approx(want.score, rel=1e-10)
 
 
+def bounds_taken(scanner, starts, length):
+    """The score bounds that ``scanner`` takes (``PrefixScanner._bounds``) of
+    the scorable candidates of ``starts`` while scoring them at ``length``
+    against the lowest finite floor, which every bound reaches, so that every
+    g is tightened and every inside fitted: the bounds through the rung below,
+    where the length has one, then the exact bounds."""
+    taken = []
+
+    def spy(*args):
+        bounds = PrefixScanner._bounds(scanner, *args)
+        taken.append(bounds.copy())
+        return bounds
+
+    scanner._bounds = spy
+    try:
+        scanner.score_batch(starts, length, floor=-np.finfo(float).max)
+    finally:
+        del scanner._bounds
+    return taken
+
+
 class TestScoreBound:
     """The bound U of _ScoreBound is at least the exact score of every scorable
     candidate, and without a positive definite outer-product total there is no
-    bound and nothing is pruned. The bounds taken here with no floor have g
-    tightened by the Wolkowicz-Styan bound for every candidate."""
+    bound and nothing is pruned. The bounds taken here (:func:`bounds_taken`)
+    have g tightened by the Wolkowicz-Styan bound for every candidate."""
 
     @staticmethod
     def series(seed, n, d, log_scale, offset, share_missing, shape):
@@ -597,10 +618,9 @@ class TestScoreBound:
                 floored = scanner.score_batch(starts, length, floor=np.inf)
                 assert floored.tobytes() == exact.tobytes()
             elif ok.any():
-                lo, hi = scanner._row_range(starts[ok], length)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    bound = scanner._inside(lo, hi, length, rows.bound)[2]
+                    bound = bounds_taken(scanner, starts[ok], length)[-1]
                 pairs.append((bound, exact[ok]))
         return rows.bound, pairs
 
@@ -652,10 +672,9 @@ class TestScoreBound:
                 continue
             rung = length - (length - len_min) % detector.RUNG_STEP
             kept = np.isin(starts[ok], scanner.rungs.get(rung, ([],))[0])
-            lo, hi = scanner._row_range(starts[ok], length)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                bound = scanner._nested(starts[ok], lo, hi, length, rows.bound)[0]
+                bound = bounds_taken(scanner, starts[ok], length)[0]
             pairs.append((bound, exact[ok], kept))
         return rows.bound, pairs
 
@@ -723,8 +742,7 @@ class TestScoreBound:
             exact = scanner.score_batch(starts, length)
             ok = np.isfinite(exact)
             assert (ok & few).any()
-            lo, hi = scanner._row_range(starts[ok], length)
-            upper = scanner._nested(starts[ok], lo, hi, length, rows.bound)[0]
+            upper = bounds_taken(scanner, starts[ok], length)[0]
             assert np.all(upper[(few | failed)[ok]] == np.inf)
             assert np.isfinite(upper[~(few | failed)[ok]]).all()
             # Through score_batch: any floor prunes none of them before a fit.
@@ -739,6 +757,24 @@ class TestScoreBound:
         floored = fresh.score_batch(starts, 11, floor=np.inf)
         assert fresh.rung_pruned == 0 and np.isfinite(exact).sum() > 100
         assert np.array_equal(np.isnan(floored), np.isnan(exact))
+
+    def test_a_rung_is_fitted_whatever_the_floor(self):
+        """A rung is bounded through no rung, not even itself once kept: at
+        any floor each of its scorable insides is fitted, and its ln|Sp_j| / 2
+        kept, with nothing pruned before a fit."""
+        rng = np.random.default_rng(5)
+        rows = detector._ScanRows(embed(make_series(rng.standard_normal((200, 2))), EMB))
+        scanner = PrefixScanner(rows, rung_base=10)
+        starts = np.arange(0, 180)
+        kept = {length: np.isfinite(scanner.score_batch(starts, length)) for length in (10, 13)}
+        before = {length: scanner.rungs[length][1].copy() for length in kept}
+        scanner.prepare_bound()
+        for length, ok in kept.items():
+            assert np.isneginf(scanner.score_batch(starts, length, floor=np.inf)[ok]).all()
+            assert scanner.rung_pruned == 0
+            kept_starts, half = scanner.rungs[length]
+            assert np.array_equal(kept_starts, starts[ok])
+            np.testing.assert_allclose(half, before[length], rtol=1e-12)
 
     def test_a_zero_inside_meets_the_bound_within_its_margin(self):
         """Integer data whose sums are exactly zero, with a run of zero steps:
@@ -755,8 +791,7 @@ class TestScoreBound:
         for length in range(4, 40):
             starts = np.arange(100, 140 - length + 1)
             exact = scanner.score_batch(starts, length)
-            lo, hi = scanner._row_range(starts, length)
-            upper = scanner._inside(lo, hi, length, rows.bound)[2]
+            upper = bounds_taken(scanner, starts, length)[-1]
             assert np.all(upper >= exact)
             tight += int(np.sum(upper - exact < 1e-5 * exact))
         assert tight > 500
@@ -822,12 +857,9 @@ class TestScoreBound:
             exact = scanner.score_batch(starts, length)
             if length == 30 and path == "nested":
                 continue  # the rung
-            lo, hi = scanner._row_range(starts, length)
 
-            def bounds():
-                if path == "nested":
-                    return scanner._nested(starts, lo, hi, length, rows.bound)[0]
-                return scanner._inside(lo, hi, length, rows.bound)[2]
+            def bounds():  # through the rung below, or exact at a rung
+                return bounds_taken(scanner, starts, length)[0]
 
             tight = bounds()
             with monkeypatch.context() as patch:  # g = tr(M A) alone
@@ -837,6 +869,64 @@ class TestScoreBound:
             tighter += int(np.sum(tight < loose))
             total += len(starts)
         assert tighter > 0.9 * total
+
+    @pytest.mark.parametrize("log_scale", [-4, 0, 3])
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    def test_head_equals_its_oracle(self, width, log_scale):
+        """g, load and rest of _ScoreBound.head equal their explicit oracle,
+        whose inside is jittered by jitter_epsilon itself, within 1e-10
+        relative: at the scale 1e-4 the jitter's floor holds, at 1e3 its
+        trace term."""
+        rng = np.random.default_rng(width)
+        n = 300
+        rows = 10.0**log_scale * rng.standard_normal((n, width)) @ (
+            np.eye(width) + 0.3 * rng.standard_normal((width, width))
+        )
+        rows[100:140] += 2.0 * rows.std(axis=0)
+        rows -= rows.mean(axis=0) * (width % 2)  # centered, as the scan's, or not
+        usable = np.ones(n, dtype=bool)
+        bound = detector._ScoreBound(*detector._row_sums(rows[None], usable[None]), width)
+        masks = []
+        for a, length in [(0, 30), (90, 60), (100, 40), (250, 50), (5, 200)]:
+            masks.append(np.zeros(n, dtype=bool))
+            masks[-1][a : a + length] = True
+        sums = [detector._row_sums(rows[None, mask], usable[None, mask]) for mask in masks]
+        counts, inside_sums, outer = (np.concatenate(part, axis=-1) for part in zip(*sums))
+        head = bound.head(counts, inside_sums, bound.weights @ outer, bound.precision @ inside_sums)
+        for k, mask in enumerate(masks):
+            g, load, rest = oracles.score_bound_head(rows, mask, jitter_epsilon)
+            assert head.g[k] == pytest.approx(g, rel=1e-10)
+            assert head.load[k] == pytest.approx(load, rel=1e-10)
+            assert head.rest[k] == pytest.approx(rest, rel=1e-10)
+
+    def test_g_is_tightened_at_most_once(self, monkeypatch):
+        """Between rungs, a candidate whose g was tightened for its bound
+        through the rung below is not tightened again for its exact bound;
+        some candidates here are pruned through the rung, and others pass it
+        and reach the floor with their exact bound."""
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((600, 4))
+        values[300:340, 1] += 1.5
+        rows = detector._ScanRows(embed(make_series(values), EMB))
+        scanner = PrefixScanner(rows, rung_base=20)
+        starts = np.arange(0, 560)
+        scanner.score_batch(starts, 20)
+        exact = scanner.score_batch(starts, 22)
+        scanner.prepare_bound()
+        floor = float(np.quantile(exact[np.isfinite(exact)], 0.9))
+        tightened = []
+        eigen = rows.bound.eigen
+
+        def spy(n_out, sums, whitened):
+            tightened.extend(column.tobytes() for column in sums.T)
+            return eigen(n_out, sums, whitened)
+
+        monkeypatch.setattr(rows.bound, "eigen", spy)
+        scores = scanner.score_batch(starts, 22, floor=floor)
+        reached = exact >= floor
+        assert scanner.rung_pruned > 0 and reached.sum() >= 5
+        np.testing.assert_allclose(scores[reached], exact[reached], rtol=1e-12)
+        assert len(tightened) == len(set(tightened)) > reached.sum()
 
     @pytest.mark.parametrize("width, rows", [(1, 5), (3, 1), (12, 300), (18, 257)])
     def test_outer_prefix_equals_the_gather(self, width, rows):

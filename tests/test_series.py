@@ -94,6 +94,18 @@ class TestCsv:
         s = load_csv(path)
         assert s.start_index == 0 and s.n == 2
 
+    def test_mixed_naive_and_aware_timestamps_name_the_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "time,a\n2020-01-01T00:00:00,1\n2020-01-02T00:00:00,2\n"
+            "2020-01-03T00:00:00+00:00,3\n2020-01-04T00:00:00,4\n"
+        )
+        with pytest.raises(ParseError, match="line 4: .*UTC offset"):
+            load_csv(path)
+        path.write_text("time,a\n2020-01-01T00:00:00+01:00,1\n2020-01-02T00:00:00,2\n")
+        with pytest.raises(ParseError, match="line 3: "):
+            load_csv(path)
+
     def test_integer_time_origin_kept(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("time,a\n10,1\n11,2\n")
